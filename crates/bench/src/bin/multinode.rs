@@ -12,7 +12,7 @@
 //! the one cluster-free experiment that exercises actual sockets.
 
 use lulesh_bench::render_table;
-use multidom::{taskpar, Decomposition, FaultPlan, SimArgs, TransportKind};
+use multidom::{Decomposition, Executor, RunSpec, SimArgs, TransportKind};
 use simsched::multinode::{strong_scaling, task_compute_1node_ns, weak_scaling, ClusterParams};
 use simsched::{CostModel, LuleshConfig, LuleshModel};
 use std::time::{Duration, Instant};
@@ -158,16 +158,19 @@ fn measured_overlap() {
     ] {
         let run = |overlap: bool| {
             let t0 = Instant::now();
-            let results = taskpar::run_transport(
-                Decomposition::new(size, ranks),
-                TransportKind::TcpLoopback,
-                Duration::from_secs(20),
-                workers,
-                lulesh_task::PartitionPlan::fixed(2048, 2048),
-                overlap,
-                SimArgs::new(11, 1, 1, 0, iters),
-                FaultPlan::NONE,
-            );
+            let results = multidom::run(&RunSpec {
+                transport: TransportKind::TcpLoopback,
+                deadline: Duration::from_secs(20),
+                executor: Executor::Tasks {
+                    threads: workers,
+                    plan: lulesh_task::PartitionPlan::fixed(2048, 2048),
+                    overlap,
+                },
+                ..RunSpec::new(
+                    Decomposition::new(size, ranks),
+                    SimArgs::new(11, 1, 1, 0, iters),
+                )
+            });
             let domains: Vec<_> = results
                 .into_iter()
                 .map(|r| r.expect("measurement run must succeed").0)

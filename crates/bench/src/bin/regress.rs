@@ -53,9 +53,7 @@ use lulesh_core::kernels::{eos, hourglass, monoq, stress};
 use lulesh_core::simd::{self, LaneWidth};
 use lulesh_core::Domain;
 use lulesh_task::{AutoTuneConfig, Features, PartitionPlan, PartitionPolicy, TaskLulesh};
-use multidom::{
-    threaded, Decomposition, FaultPlan, Grid3, LivePlan, ResilPlan, SimArgs, TransportKind,
-};
+use multidom::{Decomposition, Grid3, LivePlan, ResilPlan, RunSpec, SimArgs};
 use obs::dist::{Category, RankTrace};
 use obs::jsonlint::{self, Value};
 use obs::live::{CollectSink, LiveConfig};
@@ -243,17 +241,13 @@ fn rep_multidom(
         ResilPlan::OFF
     };
     let c0 = cpu_seconds();
-    let results = threaded::run_transport_resil(
-        decomp,
-        TransportKind::Channel,
-        Duration::from_secs(10),
-        SimArgs::new(2, 1, 1, 0, iters),
-        tracer.clone(),
-        FaultPlan::NONE,
-        Vec::new(),
-        plan,
-        resil_plan,
-    );
+    let results = multidom::run(&RunSpec {
+        deadline: Duration::from_secs(10),
+        trace: tracer.clone(),
+        live: plan,
+        resil: resil_plan,
+        ..RunSpec::new(decomp, SimArgs::new(2, 1, 1, 0, iters))
+    });
     let cpu = cpu_seconds() - c0;
     for r in results {
         r.expect("multidom rank");

@@ -38,9 +38,7 @@
 pub mod autotune;
 mod plan;
 
-pub use autotune::{
-    AutoTuneConfig, AutoTuneReport, AutoTuner, HysteresisGate, TunePoint, WindowSample,
-};
+pub use autotune::{AutoTuneConfig, AutoTuneReport, AutoTuner, TunePoint, WindowSample};
 pub use plan::{partition_cap, PartitionPlan, MAX_LANE_WIDTH, MIN_PARTITION};
 
 use lulesh_core::domain::Domain;
@@ -184,8 +182,8 @@ pub struct OverlapForces {
     pub recv_combine: Hook,
 }
 
-/// Injection points for inter-domain communication (the `multidom` crate's
-/// task-parallel driver): the same three synchronization points the
+/// Injection points for inter-domain communication (the `multidom` rank
+/// loop's task executor): the same three synchronization points the
 /// reference's MPI version communicates at.
 #[derive(Default, Clone)]
 pub struct IterationHooks {
@@ -355,6 +353,10 @@ impl TaskScratch {
         self.pool[i].0.lock()
     }
 }
+
+/// Scratch carried across [`TaskLulesh::step`] calls on one domain (see
+/// [`TaskLulesh::step_scratch`]).
+pub struct StepScratch(Arc<TaskScratch>);
 
 /// One task body.
 type Stage = Box<dyn FnOnce() + Send + 'static>;
@@ -601,39 +603,10 @@ impl TaskLulesh {
         let mut win_base = phase_totals(&self.rt.phase_stats());
 
         let mut state = SimState::new(d.initial_dt());
-        let scratch = Arc::new(TaskScratch::new(
-            d.num_elem(),
-            self.features.merge_kernels,
-            self.rt.threads(),
-        ));
+        let scratch = self.step_scratch(d);
         while state.time < d.params.stoptime && state.cycle < max_cycles {
             time_increment(&mut state, &d.params);
-            scratch.reset_iteration();
-
-            // Pre-create the entire iteration graph, then join once.
-            let iter_start = self.rt.tracer().map(|t| (Arc::clone(t), t.now_ns()));
-            let end = self.build_iteration(d, &scratch, plan, state.deltatime, hooks);
-            end.get();
-            if let Some((tracer, start)) = iter_start {
-                // One region span per leapfrog iteration on the control
-                // lane, bracketing the whole graph: build + execute + join.
-                tracer.record_interval(
-                    self.rt.current_lane(),
-                    SpanKind::Region,
-                    "iteration",
-                    start,
-                    tracer.now_ns(),
-                );
-            }
-
-            let local_err = if scratch.volume_error.load(Ordering::Relaxed) {
-                Some(LuleshError::VolumeError)
-            } else if scratch.qstop_error.load(Ordering::Relaxed) {
-                Some(LuleshError::QStopError)
-            } else {
-                None
-            };
-            let (c, h) = *scratch.dt_mins.lock();
+            let (c, h, local_err) = self.step(d, &scratch, plan, state.deltatime, hooks);
             let (c, h) = reduce_dt(c, h, local_err)?;
             state.dtcourant = c;
             state.dthydro = h;
@@ -675,6 +648,58 @@ impl TaskLulesh {
         }
         self.auto_report.replace(tuner.map(|t| t.report()));
         Ok(state)
+    }
+
+    /// The mesh-length scratch [`step`](Self::step) needs for `d`; build
+    /// it once per run and pass it to every step.
+    pub fn step_scratch(&self, d: &Domain) -> StepScratch {
+        StepScratch(Arc::new(TaskScratch::new(
+            d.num_elem(),
+            self.features.merge_kernels,
+            self.rt.threads(),
+        )))
+    }
+
+    /// One leapfrog iteration at time step `dt`: build the whole graph
+    /// (with `hooks` injected), execute it, join once. Returns this
+    /// domain's `(dtcourant, dthydro)` minima and the error the iteration
+    /// tripped, if any; the caller reduces them and advances the clock.
+    pub fn step(
+        &self,
+        d: &Arc<Domain>,
+        scratch: &StepScratch,
+        plan: PartitionPlan,
+        dt: Real,
+        hooks: &IterationHooks,
+    ) -> (Real, Real, Option<LuleshError>) {
+        let scratch = &scratch.0;
+        scratch.reset_iteration();
+
+        // Pre-create the entire iteration graph, then join once.
+        let iter_start = self.rt.tracer().map(|t| (Arc::clone(t), t.now_ns()));
+        let end = self.build_iteration(d, scratch, plan, dt, hooks);
+        end.get();
+        if let Some((tracer, start)) = iter_start {
+            // One region span per leapfrog iteration on the control
+            // lane, bracketing the whole graph: build + execute + join.
+            tracer.record_interval(
+                self.rt.current_lane(),
+                SpanKind::Region,
+                "iteration",
+                start,
+                tracer.now_ns(),
+            );
+        }
+
+        let local_err = if scratch.volume_error.load(Ordering::Relaxed) {
+            Some(LuleshError::VolumeError)
+        } else if scratch.qstop_error.load(Ordering::Relaxed) {
+            Some(LuleshError::QStopError)
+        } else {
+            None
+        };
+        let (c, h) = *scratch.dt_mins.lock();
+        (c, h, local_err)
     }
 
     /// Spawn a group: every item becomes a chain of its stages (T2 on) or a

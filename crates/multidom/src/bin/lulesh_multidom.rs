@@ -24,13 +24,13 @@
 
 use lulesh_core::{Opts, RunReport, TransportMode};
 use multidom::{
-    recovery, threaded, Decomposition, FaultPlan, Grid3, LivePlan, MdError, ResilPlan, SimArgs,
-    TransportKind, DEFAULT_DEADLINE,
+    recovery, Decomposition, FaultPlan, Grid3, LivePlan, MdError, ResilPlan, RunSpec, SimArgs,
 };
 use obs::dist::RankTrace;
 use obs::live::LiveConfig;
 use obs::Tracer;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Pull `--flag N` / `--flag=N` out of `args` before the shared parser
@@ -201,15 +201,9 @@ fn resolve_pin(opts: &Opts) -> Vec<usize> {
     res.nodes
 }
 
-/// The classic single-process run: every rank is a thread, halos go over
-/// in-memory channels.
-fn run_in_process(opts: &Opts, grid: Grid3) {
-    let ranks = grid.ranks();
-    let decomp = Decomposition::with_grid(opts.size, grid);
-    // One tracer lane per rank; rank 0's lane also carries iteration spans.
-    let tracer = (opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some())
-        .then(|| Tracer::shared(ranks));
-    let t0 = Instant::now();
+/// The run the flags describe, on the serial executor: the simulation
+/// arguments plus the fault, pinning, telemetry and checkpoint plans.
+fn run_spec(opts: &Opts, grid: Grid3, trace: Option<Arc<Tracer>>) -> RunSpec {
     let sim = SimArgs::new(
         opts.num_reg,
         opts.balance,
@@ -217,23 +211,34 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
         opts.seed,
         opts.max_cycles,
     );
+    RunSpec {
+        trace,
+        faults: fault_plan(opts),
+        pin_nodes: resolve_pin(opts),
+        live: live_plan(opts),
+        resil: resil_plan(opts),
+        ..RunSpec::new(Decomposition::with_grid(opts.size, grid), sim)
+    }
+}
+
+/// The classic single-process run: every rank is a thread, halos go over
+/// in-memory channels.
+fn run_in_process(opts: &Opts, grid: Grid3) {
+    let ranks = grid.ranks();
+    // One tracer lane per rank; rank 0's lane also carries iteration spans.
+    let tracer = (opts.trace.is_some() || opts.metrics.is_some() || opts.trace_dir.is_some())
+        .then(|| Tracer::shared(ranks));
+    let t0 = Instant::now();
+    let spec = run_spec(opts, grid, tracer.clone());
     let results = if opts.respawn {
         // In-process analogue of the TCP respawn loop: on a rank death,
         // roll every rank back to the newest globally consistent
         // checkpoint wave and rerun (one injected kill per attempt).
-        let Some(ckpt) = resil_plan(opts).ckpt else {
+        if spec.resil.ckpt.is_none() {
             eprintln!("--respawn needs --ckpt-dir DIR");
             std::process::exit(2);
-        };
-        let report = recovery::run_with_recovery(
-            decomp,
-            TransportKind::Channel,
-            DEFAULT_DEADLINE,
-            sim,
-            fault_plan(opts),
-            ckpt,
-            opts.die_at.len() + 1,
-        );
+        }
+        let report = recovery::run_with_recovery(&spec, opts.die_at.len() + 1);
         if !opts.quiet {
             for c in &report.resumed_from {
                 eprintln!("respawn: rank died, all ranks resumed from checkpoint cycle {c}");
@@ -241,17 +246,7 @@ fn run_in_process(opts: &Opts, grid: Grid3) {
         }
         report.results
     } else {
-        threaded::run_transport_resil(
-            decomp,
-            TransportKind::Channel,
-            DEFAULT_DEADLINE,
-            sim,
-            tracer.clone(),
-            fault_plan(opts),
-            resolve_pin(opts),
-            live_plan(opts),
-            resil_plan(opts),
-        )
+        multidom::run(&spec)
     };
     let mut domains = Vec::with_capacity(ranks);
     let mut state = None;
@@ -487,7 +482,6 @@ fn launch_workers(opts: &Opts, grid: Grid3, addr: &Option<String>, launcher_args
 /// others; everyone runs their sub-brick and rank 0 prints the report.
 fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
     let ranks = grid.ranks();
-    let decomp = Decomposition::with_grid(opts.size, grid);
     let specs = grid.neighbor_specs();
     let cfg =
         parcelnet::tcp::TcpConfig::with_deadline(Duration::from_millis(opts.recv_deadline_ms));
@@ -507,16 +501,6 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
             std::process::exit(1);
         }
     };
-    // A TCP worker is one rank in its own process: pin the whole process
-    // (this thread) onto its round-robin node before building the domain.
-    let pin_nodes = resolve_pin(opts);
-    if !pin_nodes.is_empty() {
-        let topo = taskrt::topology::Topology::detect();
-        let node = pin_nodes[rank % pin_nodes.len()];
-        if let Some(n) = topo.nodes.iter().find(|n| n.id == node) {
-            let _ = taskrt::topology::pin_current_thread(&n.cpus);
-        }
-    }
     // Each worker records its own lane (plus a `ranks + rank` comm lane
     // for parcelnet writer-thread spans when collecting a trace dir);
     // per-process trace/metrics files get a `.rankR` suffix so workers do
@@ -531,22 +515,10 @@ fn run_worker(opts: &Opts, grid: Grid3, rank: usize, addr: &str) {
             Tracer::shared(lanes)
         });
     let t0 = Instant::now();
-    let sim = SimArgs::new(
-        opts.num_reg,
-        opts.balance,
-        opts.cost,
-        opts.seed,
-        opts.max_cycles,
-    );
-    let result = threaded::run_rank_resil(
-        decomp.shape(rank),
-        net,
-        sim,
-        tracer.clone(),
-        fault_plan(opts),
-        live_plan(opts),
-        resil_plan(opts),
-    );
+    // A TCP worker is one rank in its own process; `run_rank` pins it and
+    // its link writers onto the rank's round-robin node (`--pin`) before
+    // building the domain.
+    let result = multidom::run_rank(&run_spec(opts, grid, tracer.clone()), net);
     let (domain, state, offset_ns) = match result {
         Ok(r) => r,
         Err(MdError::Sim(e)) => {

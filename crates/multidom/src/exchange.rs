@@ -342,7 +342,7 @@ impl HaloPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Transport exchanges (threaded / task-parallel drivers).
+// Transport exchanges (the rank loop's serial and task executors).
 //
 // A message from rank A to rank B is tagged with A's *outgoing* direction,
 // so B receives from its link in direction d under tag `opposite(d)`.
@@ -358,36 +358,12 @@ pub fn halo_exchange_mass(
     net: &RankNet,
     obs: ObsCtx,
 ) -> Result<(), ParcelError> {
-    send_mass(d, plan, net, obs)?;
-    recv_combine_mass(d, plan, net, obs)
-}
-
-/// The send half of the mass exchange: every boundary surface goes out
-/// before any receive, so co-hosted ranks can interleave phases without
-/// deadlocking on each other.
-pub fn send_mass(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
     for (l, nbr) in net.neighbors.iter().enumerate() {
         let msg = plan.pack_mass(d, l);
         spanned(obs, "send-mass", || {
             nbr.link.send(Tag::mass(nbr.dir as usize), &msg)
         })?;
     }
-    Ok(())
-}
-
-/// The receive half of the mass exchange: collect every neighbour's
-/// surface, then run the deterministic combine.
-pub fn recv_combine_mass(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
     let mut recvs = Vec::with_capacity(net.neighbors.len());
     for nbr in &net.neighbors {
         let tag = Tag::mass(dir::opposite(nbr.dir as usize));
@@ -453,41 +429,19 @@ pub fn halo_exchange_gradients(
     net: &RankNet,
     obs: ObsCtx,
 ) -> Result<(), ParcelError> {
-    send_gradients(d, plan, net, obs)?;
-    recv_store_gradients(d, plan, net, obs)
-}
-
-/// The send half of the gradient exchange (face links only).
-pub fn send_gradients(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    for (l, nbr) in net.neighbors.iter().enumerate() {
-        if plan.links()[l].grad.is_none() {
-            continue;
-        }
+    let faces = || {
+        net.neighbors
+            .iter()
+            .enumerate()
+            .filter(|&(l, _)| plan.links()[l].grad.is_some())
+    };
+    for (l, nbr) in faces() {
         let msg = plan.pack_gradients(d, l);
         spanned(obs, "send-gradient", || {
             nbr.link.send(Tag::gradient(nbr.dir as usize), &msg)
         })?;
     }
-    Ok(())
-}
-
-/// The receive half of the gradient exchange: each face plane is stored
-/// independently on arrival.
-pub fn recv_store_gradients(
-    d: &Domain,
-    plan: &HaloPlan,
-    net: &RankNet,
-    obs: ObsCtx,
-) -> Result<(), ParcelError> {
-    for (l, nbr) in net.neighbors.iter().enumerate() {
-        if plan.links()[l].grad.is_none() {
-            continue;
-        }
+    for (l, nbr) in faces() {
         let tag = Tag::gradient(dir::opposite(nbr.dir as usize));
         let remote = spanned(obs, "recv-gradient", || nbr.link.recv(tag))?;
         plan.store_gradients(d, l, &remote);

@@ -12,15 +12,21 @@
 //! iteration) — plus the dt min-allreduce. Each rank exchanges with up to
 //! 26 neighbours (6 faces, 12 edges, 8 corners; see [`exchange`]).
 //!
-//! Three drivers with **bit-identical** results:
+//! One lockstep reference and one rank loop, with **bit-identical**
+//! results:
 //!
 //! * [`World::run`] — lockstep: ranks advance phase by phase in one
 //!   thread (the deterministic reference for testing).
-//! * [`threaded::run`] — one OS thread per rank exchanging halo messages
-//!   over channels, MPI-style (blocking send/recv per iteration).
-//! * [`taskpar::run`] — **task-parallel within each rank** (a `TaskLulesh`
-//!   runtime per rank) with the halo exchanges injected as communication
-//!   tasks — the paper's anticipated "HPX-native multi-node" configuration.
+//! * [`run`] / [`run_rank`] — the rank loop ([`threaded`]): one OS thread
+//!   (or, under the TCP launcher, one process) per rank, exchanging halo
+//!   parcels over a [`parcelnet`] transport. A [`RunSpec`] describes the
+//!   whole run; its [`Executor`] picks how a rank runs its kernels:
+//!   [`Executor::Serial`] is the MPI-style baseline (blocking exchanges
+//!   between serial phases), [`Executor::Tasks`] a `TaskLulesh` runtime
+//!   per rank with the halo exchanges injected as communication tasks —
+//!   the paper's anticipated "HPX-native multi-node" configuration.
+//!   Checkpoints, fault injection, live telemetry, tracing and pinning
+//!   live in the loop, so both executors get all of them.
 //!
 //! The decomposed solution matches the single-domain solution up to
 //! floating-point regrouping on the boundary surfaces (the force sum is
@@ -30,10 +36,10 @@
 #![warn(missing_docs)]
 
 pub mod exchange;
-pub mod hosted;
 pub mod recovery;
-pub mod taskpar;
 pub mod threaded;
+
+pub use threaded::{gather, run, run_rank, Executor, RunSpec};
 
 use exchange::HaloPlan;
 use lulesh_core::domain::Domain;
@@ -215,7 +221,7 @@ impl Decomposition {
     }
 }
 
-/// Transport selection for the message-passing drivers.
+/// Transport selection for [`run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TransportKind {
     /// In-process crossbeam channels (the historical wire; zero copies
@@ -227,7 +233,7 @@ pub enum TransportKind {
     TcpLoopback,
 }
 
-/// Multi-domain driver failure: either the simulation aborted (and every
+/// Multi-domain run failure: either the simulation aborted (and every
 /// rank agreed on it via the dt allreduce), or the transport itself failed
 /// (a peer died, a deadline passed, a frame was corrupt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -309,20 +315,19 @@ pub struct FaultPlan {
     /// `VolumeError` in its first iteration.
     pub poison_volume: Option<usize>,
     /// `(rank, cycle)` kill list: each listed rank dies abruptly at the
-    /// top of that cycle — its links drop without a `Bye`, as a killed
-    /// process would (honoured by the threaded driver). The `--respawn`
-    /// launcher consumes one entry per recovery attempt; a single run
-    /// honours every entry it reaches.
+    /// top of that cycle (an exact match against the completed-cycle
+    /// count) — its links drop without a `Bye`, as a killed process
+    /// would. The `--respawn` launcher consumes one entry per recovery
+    /// attempt; a single run honours every entry it reaches.
     pub die_at: Vec<(usize, u64)>,
     /// The rank is killed *before the TCP handshake*: it never dials the
     /// bootstrap, so the survivors' accepts and dials must time out with a
-    /// typed error within the configured deadline (honoured by both
-    /// drivers' TCP transports; the in-process channel mesh has no
-    /// handshake to kill).
+    /// typed error within the configured deadline (TCP loopback only; the
+    /// in-process channel mesh has no handshake to kill).
     pub die_at_handshake: Option<usize>,
     /// `(rank, millis)`: the rank sleeps that long at the top of every
-    /// step — a controlled straggler for exercising the live telemetry
-    /// detector (honoured by the threaded and task-parallel drivers).
+    /// step, before its phases — a controlled straggler for exercising
+    /// the live telemetry detector.
     pub slow_rank: Option<(usize, u64)>,
 }
 
@@ -341,7 +346,7 @@ impl FaultPlan {
     }
 }
 
-/// Checkpoint/resume wiring for the message-passing drivers. Default:
+/// Checkpoint/resume wiring for the rank loop. Default:
 /// fully off — zero cost on the hot path.
 #[derive(Debug, Clone, Default)]
 pub struct ResilPlan {
@@ -363,8 +368,7 @@ impl ResilPlan {
     };
 }
 
-/// Live-telemetry wiring for the message-passing drivers ([`threaded`],
-/// [`taskpar`]): streaming per-step metrics piggybacked on the dt
+/// Live-telemetry wiring for the rank loop: streaming per-step metrics piggybacked on the dt
 /// allreduce, and/or a per-rank flight recorder dumped when a rank dies.
 /// The default is fully off — zero cost on the hot path.
 #[derive(Clone, Default)]
@@ -398,7 +402,7 @@ pub(crate) fn dump_flight(dir: &std::path::Path, rank: usize, f: &obs::live::Fli
     );
 }
 
-/// The default per-receive deadline for the message-passing drivers.
+/// The default per-receive deadline of the rank loop's transports.
 pub const DEFAULT_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// The lockstep multi-domain world.
@@ -443,75 +447,38 @@ impl World {
 
     /// Advance the whole world one `LagrangeLeapFrog` iteration.
     pub fn step(&mut self, state: &mut SimState) -> Result<(), LuleshError> {
-        self.step_timed(state, &mut |_, _, _| {})
-    }
-
-    /// [`step`](World::step) with per-rank phase timing: `timer(rank,
-    /// category, ns)` fires once per rank per phase (Schulz categories:
-    /// kernels are `Busy`, the lockstep memcpy exchanges are `Pack`,
-    /// amortised evenly over the ranks). Timing never touches arithmetic —
-    /// results are bit-identical to the untimed step.
-    pub fn step_timed(
-        &mut self,
-        state: &mut SimState,
-        timer: &mut dyn FnMut(usize, obs::dist::Category, u64),
-    ) -> Result<(), LuleshError> {
-        use obs::dist::Category;
-        use std::time::Instant;
         let dt = state.deltatime;
-        let ranks = self.domains.len();
-        // Attribute a world-wide exchange evenly across the ranks.
-        let split = |timer: &mut dyn FnMut(usize, Category, u64), t0: Instant| {
-            let ns = t0.elapsed().as_nanos() as u64 / ranks.max(1) as u64;
-            for r in 0..ranks {
-                timer(r, Category::Pack, ns);
-            }
-        };
 
         // Phase 1: element forces on every rank, then halo-sum the
         // boundary-surface forces (CommSBN).
-        for (r, (d, s)) in self.domains.iter().zip(&mut self.scratches).enumerate() {
-            let t0 = Instant::now();
+        for (d, s) in self.domains.iter().zip(&mut self.scratches) {
             calc_force_for_nodes(d, s)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
-        let t0 = Instant::now();
         exchange::lockstep_exchange_forces(&self.domains, &self.plans);
-        split(timer, t0);
 
         // Phase 2: node state advance (boundary nodes compute identical
         // values on every sharing rank — same forces, same masses).
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             advance_nodes(d, dt);
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
 
         // Phase 3: kinematics + gradients, then ghost-region exchange
         // (CommMonoQ).
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             calc_kinematics_and_gradients(d, dt)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
-        let t0 = Instant::now();
         exchange::lockstep_exchange_gradients(&self.domains, &self.plans);
-        split(timer, t0);
 
         // Phase 4: q limiter, EOS, volume commit.
-        for (r, (d, s)) in self.domains.iter().zip(&mut self.scratches).enumerate() {
-            let t0 = Instant::now();
+        for (d, s) in self.domains.iter().zip(&mut self.scratches) {
             apply_q_and_materials(d, s)?;
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
         }
 
         // dt constraints: min-allreduce across ranks.
         let mut dtcourant: Real = 1.0e20;
         let mut dthydro: Real = 1.0e20;
-        for (r, d) in self.domains.iter().enumerate() {
-            let t0 = Instant::now();
+        for d in &self.domains {
             let (c, h) = constraints::calc_time_constraints(d, d.params.qqc, d.params.dvovmax);
-            timer(r, Category::Busy, t0.elapsed().as_nanos() as u64);
             dtcourant = dtcourant.min(c);
             dthydro = dthydro.min(h);
         }
@@ -527,47 +494,6 @@ impl World {
         while state.time < params.stoptime && state.cycle < max_cycles {
             time_increment(&mut state, &params);
             self.step(&mut state)?;
-        }
-        Ok(state)
-    }
-
-    /// [`run`](World::run) with live telemetry: per-rank phase timing
-    /// feeds the same [`obs::live`] pipeline the message-passing drivers
-    /// stream over the wire — here sampled directly, since every rank
-    /// lives in this thread. On each telemetry step rank summaries go
-    /// through the straggler detector and one JSONL line hits the sink.
-    pub fn run_live(
-        &mut self,
-        max_cycles: u64,
-        cfg: &obs::live::LiveConfig,
-    ) -> Result<SimState, LuleshError> {
-        use obs::live::{jsonl_step_line, LiveStats, StragglerDetector};
-        let ranks = self.decomp.ranks();
-        let stats: Vec<LiveStats> = (0..ranks).map(|_| LiveStats::new()).collect();
-        let mut detector = StragglerDetector::new(ranks);
-        let params = self.domains[0].params;
-        let mut state = SimState::new(self.domains[0].initial_dt());
-        let mut step_ns = vec![0u64; ranks];
-        while state.time < params.stoptime && state.cycle < max_cycles {
-            time_increment(&mut state, &params);
-            step_ns.iter_mut().for_each(|ns| *ns = 0);
-            self.step_timed(&mut state, &mut |r, cat, ns| {
-                stats[r].add_phase(cat, ns);
-                step_ns[r] += ns;
-            })?;
-            if cfg.telemetry_step(state.cycle) {
-                let summaries: Vec<_> = stats
-                    .iter()
-                    .enumerate()
-                    .map(|(r, s)| s.snapshot(r as u32, state.cycle, step_ns[r]))
-                    .collect();
-                let flagged = detector.observe(&step_ns);
-                cfg.sink
-                    .emit(&jsonl_step_line(state.cycle, &summaries, &flagged));
-            }
-        }
-        if cfg.table {
-            eprint!("{}", detector.summary_table());
         }
         Ok(state)
     }
@@ -708,50 +634,6 @@ mod tests {
         let diff = world.max_difference_vs_single(&single);
         assert!(diff < 1e-7, "1-elem-brick mismatch {diff}");
         assert_eq!(world.interface_mismatch(), 0.0);
-    }
-
-    #[test]
-    fn lockstep_live_run_matches_plain_run_and_emits_schema_valid_jsonl() {
-        use obs::live::{CollectSink, LiveConfig, LiveSink, LIVE_SCHEMA_VERSION};
-        use std::sync::Arc;
-        let decomp = Decomposition::new(6, 2);
-        let mut plain = World::build(decomp, 2, 1, 1, 0);
-        let st_plain = plain.run(10).unwrap();
-
-        let sink = Arc::new(CollectSink::new());
-        let cfg = LiveConfig {
-            period: 2,
-            sink: Arc::clone(&sink) as Arc<dyn LiveSink>,
-            table: false,
-        };
-        let mut live = World::build(decomp, 2, 1, 1, 0);
-        let st_live = live.run_live(10, &cfg).unwrap();
-
-        assert_eq!(st_plain.cycle, st_live.cycle);
-        assert_eq!(st_plain.time, st_live.time);
-        for (a, b) in plain.domains.iter().zip(&live.domains) {
-            assert_eq!(
-                lulesh_core::validate::max_field_difference(a, b),
-                0.0,
-                "live sampling must not change physics"
-            );
-        }
-
-        // Cycles 2, 4, 6, 8, 10 carry a sample at period 2.
-        let lines = sink.lines();
-        assert_eq!(lines.len(), 5);
-        for line in &lines {
-            let v = obs::jsonlint::parse(line).expect("live line must be valid JSON");
-            assert_eq!(
-                v.get("schema").and_then(|s| s.num()),
-                Some(LIVE_SCHEMA_VERSION as f64)
-            );
-            assert_eq!(v.get("kind").and_then(|s| s.str()), Some("live"));
-            assert_eq!(
-                v.get("per_rank").and_then(|p| p.arr()).map(|a| a.len()),
-                Some(2)
-            );
-        }
     }
 
     #[test]

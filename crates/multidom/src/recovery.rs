@@ -1,4 +1,4 @@
-//! Coordinated restart: run the threaded driver under a checkpoint plan,
+//! Coordinated restart: run the rank loop under a checkpoint plan,
 //! and on a rank failure roll **every** rank back to the newest globally
 //! consistent checkpoint wave and rerun. Deterministic stepping makes the
 //! recovered trajectory bit-identical to an uninterrupted run — the
@@ -10,11 +10,9 @@
 //! fresh process. One `die_at` entry is consumed per attempt, mirroring a
 //! real fleet where each incarnation of the job can fail once.
 
-use crate::threaded::run_transport_resil;
-use crate::{Decomposition, FaultPlan, LivePlan, MdError, ResilPlan, SimArgs, TransportKind};
+use crate::{run, FaultPlan, MdError, ResilPlan, RunSpec};
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
-use std::time::Duration;
 
 /// The outcome of a [`run_with_recovery`] job.
 #[derive(Debug)]
@@ -27,53 +25,45 @@ pub struct RecoveryReport {
     pub resumed_from: Vec<u64>,
 }
 
-/// Run the decomposed problem with checkpointing every `ckpt.period`
-/// cycles; when any rank dies (injected via `faults.die_at`, one entry
-/// per attempt), restart every rank from [`resil::latest_consistent_cycle`]
-/// until the job completes or `max_attempts` is exhausted.
-#[allow(clippy::too_many_arguments)]
-pub fn run_with_recovery(
-    decomp: Decomposition,
-    kind: TransportKind,
-    deadline: Duration,
-    sim: SimArgs,
-    faults: FaultPlan,
-    ckpt: resil::CkptConfig,
-    max_attempts: usize,
-) -> RecoveryReport {
-    let ranks = decomp.ranks();
+/// Run `spec` with checkpointing every `spec.resil.ckpt.period` cycles;
+/// when any rank dies (injected via `spec.faults.die_at`, one entry per
+/// attempt), restart every rank from [`resil::latest_consistent_cycle`]
+/// until the job completes or `max_attempts` is exhausted. Panics if the
+/// spec has no checkpoint configuration.
+pub fn run_with_recovery(spec: &RunSpec, max_attempts: usize) -> RecoveryReport {
+    let ckpt = spec
+        .resil
+        .ckpt
+        .clone()
+        .expect("run_with_recovery needs spec.resil.ckpt");
+    let ranks = spec.decomp.ranks();
     let mut resumed_from = Vec::new();
-    let mut resume_cycle = None;
+    let mut resume_cycle = spec.resil.resume_cycle;
     for attempt in 0..max_attempts.max(1) {
         // Attempt `a` injects only the a-th kill: each incarnation of the
         // job dies at most once, like a real re-launched fleet. Kills at
         // or before the resume point are unreachable replays — the
         // launcher equivalent filters them the same way.
-        let attempt_faults = FaultPlan {
-            die_at: faults
+        let faults = FaultPlan {
+            die_at: spec
+                .faults
                 .die_at
                 .get(attempt)
                 .filter(|&&(_, c)| resume_cycle.is_none_or(|rc| c > rc))
                 .into_iter()
                 .copied()
                 .collect(),
-            ..faults.clone()
+            ..spec.faults.clone()
         };
-        let plan = ResilPlan {
+        let resil = ResilPlan {
             ckpt: Some(ckpt.clone()),
             resume_cycle,
         };
-        let results = run_transport_resil(
-            decomp,
-            kind,
-            deadline,
-            sim,
-            None,
-            attempt_faults,
-            Vec::new(),
-            LivePlan::OFF,
-            plan,
-        );
+        let results = run(&RunSpec {
+            faults,
+            resil,
+            ..spec.clone()
+        });
         let failed = results.iter().any(|r| matches!(r, Err(MdError::Net(_))));
         if !failed || attempt + 1 == max_attempts.max(1) {
             return RecoveryReport {

@@ -459,8 +459,8 @@ pub enum Category {
     Barrier,
     /// Work-stealing latency.
     Steal,
-    /// Resilience overhead: checkpoint serialization/writes, snapshot
-    /// restore on resume, and domain-migration pack/ship/rehome time.
+    /// Resilience overhead: checkpoint serialization/writes and snapshot
+    /// restore on resume.
     Recovery,
     /// Before this rank's first span (bootstrap, handshake, clock sync).
     Startup,
@@ -512,10 +512,10 @@ pub fn categorize(cat: &str, label: &str) -> Option<Category> {
     if label == "clock-sync" {
         return Some(Category::Startup);
     }
-    // Resilience spans carry a ckpt-/migrate-/resume- label prefix no
+    // Resilience spans carry a ckpt-/resume- label prefix no
     // matter which kind they were recorded as (region spans in the
     // drivers, parcel spans on the wire).
-    if label.starts_with("ckpt-") || label.starts_with("migrate-") || label.starts_with("resume-") {
+    if label.starts_with("ckpt-") || label.starts_with("resume-") {
         return Some(Category::Recovery);
     }
     Some(match cat {
@@ -565,7 +565,7 @@ pub struct RankBreakdown {
     pub barrier_ns: u64,
     /// Work-stealing latency.
     pub steal_ns: u64,
-    /// Resilience overhead (checkpoint, restore, migration).
+    /// Resilience overhead (checkpoint, restore).
     pub recovery_ns: u64,
     /// Time before this rank's first span.
     pub startup_ns: u64,

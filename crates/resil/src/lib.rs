@@ -1,17 +1,12 @@
-//! Resilience for the multi-domain drivers: checkpoint/restart, live
-//! domain migration, and a cross-rank load balancer.
+//! Resilience for the multi-domain rank loop: checkpoint/restart.
 //!
-//! The repo's fault machinery up to PR 8 could *detect* everything —
-//! typed [`parcelnet::ParcelError`]s, fault plans, the straggler
-//! detector — but acted on none of it. This crate closes both loops:
+//! Typed [`parcelnet::ParcelError`]s and fault plans *detect* a dead rank;
+//! this crate lets the job recover from one:
 //!
 //! * [`DomainSnapshot`] is a versioned, checksummed serialization of one
 //!   rank's domain partition (every SoA array live at the top of the
 //!   step loop, plus the cycle/dt state) in the same flat-`Real` style
-//!   as `obs::live::StepSummary` —
-//!   so the identical encoding rides a [`parcelnet::Tag::MigrateData`]
-//!   parcel for live migration *and* lands in `--ckpt-dir` files for
-//!   checkpoint/restart.
+//!   as `obs::live::StepSummary`, written to `--ckpt-dir` files.
 //! * [`CkptWriter`] is the asynchronous writer thread: the step loop
 //!   hands it an encoded snapshot and keeps simulating; file I/O (atomic
 //!   tmp+rename, like the bench harness's baseline writes) happens off
@@ -20,12 +15,6 @@
 //!   to the newest cycle for which **every** rank has a
 //!   checksum-valid snapshot (a partial checkpoint wave must never be
 //!   resumed from).
-//! * [`balance::BalanceController`] extends the PR-2 hill-climbing
-//!   autotuner's acceptance primitive
-//!   ([`lulesh_task::autotune::HysteresisGate`]) into a cross-rank
-//!   controller: it consumes the in-band `StepSummary` telemetry at the
-//!   allreduce root and orders a domain migration when the EWMA
-//!   max/median self-time ratio stays over threshold.
 //!
 //! Determinism is the load-bearing property: restoring a snapshot and
 //! re-running yields **bit-identical** trajectories, because the
@@ -34,8 +23,6 @@
 //! energies equal to an uninterrupted run after kill → respawn → resume.
 
 #![warn(missing_docs)]
-
-pub mod balance;
 
 use lulesh_core::domain::Domain;
 use lulesh_core::params::SimState;
@@ -199,8 +186,8 @@ pub struct DomainSnapshot {
 /// Only arrays **live at the top of the step loop** are captured. Every
 /// cycle writes the rest before its first read, so a restored domain
 /// regenerates them on its first post-resume cycle and the trajectory
-/// stays bit-identical (asserted end-to-end by the failure-injection and
-/// hosted-migration suites):
+/// stays bit-identical (asserted end-to-end by the failure-injection
+/// suite):
 ///
 /// * `fx/fy/fz` — `zero_forces` clears them before stress integration;
 /// * `xdd/ydd/zdd` — recomputed from the fresh forces in `advance_nodes`;
@@ -210,8 +197,7 @@ pub struct DomainSnapshot {
 /// * `ql/qq` — written by the q region pass just before the EOS consumes
 ///   them.
 ///
-/// Skipping the 21 dead arrays shrinks a snapshot (and a
-/// `Tag::MigrateData` parcel) by ~60%, which is what keeps the armed
+/// Skipping the 21 dead arrays shrinks a snapshot by ~60%, which is what keeps the armed
 /// checkpointing cost inside the regress harness's CPU budget.
 macro_rules! for_each_snapshot_field {
     ($f:ident, $nn:expr, $ne:expr, $ng:expr) => {

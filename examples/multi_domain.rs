@@ -1,6 +1,7 @@
 //! The paper's future work, running for real: decompose the Sedov cube
 //! into ζ slabs ("ranks"), advance them with MPI-style halo exchanges —
-//! lockstep and with one thread per rank — and verify against the
+//! lockstep, then with one thread per rank on each executor (serial
+//! kernels, and a task graph per rank) — and verify against the
 //! single-domain solution.
 //!
 //! ```sh
@@ -8,7 +9,7 @@
 //! ```
 
 use lulesh::core::{serial, Domain};
-use multidom::{threaded, Decomposition, World};
+use multidom::{gather, run, Decomposition, Executor, RunSpec, SimArgs, World};
 
 fn main() {
     let size = 12;
@@ -42,30 +43,31 @@ fn main() {
             "duplicated interface nodes must agree bit-for-bit"
         );
 
-        // Threaded (message-passing) driver: bit-identical to lockstep.
-        let (domains, _) = threaded::run(decomp, 4, 1, 1, 0, cycles).unwrap();
+        // One thread per rank, serial kernels (the MPI-style executor):
+        // bit-identical to lockstep.
+        let sim = SimArgs::new(4, 1, 1, 0, cycles);
+        let (domains, _) = gather(run(&RunSpec::new(decomp, sim))).unwrap();
         let mut max_thr: f64 = 0.0;
         for (a, b) in world.domains.iter().zip(&domains) {
             max_thr = max_thr.max(lulesh::core::validate::max_field_difference(a, b));
         }
         println!(
             "{ranks:>6} {:>14} {:>22} {:>20}",
-            "threaded", "= lockstep", "bitwise"
+            "serial exec", "= lockstep", "bitwise"
         );
         assert_eq!(max_thr, 0.0);
 
         // Task-parallel ranks (2 workers each) with exchange tasks: also
         // bit-identical — the "HPX-native multi-node" configuration.
-        let (domains, _) = multidom::taskpar::run(
-            decomp,
-            2,
-            lulesh::task::PartitionPlan::fixed(48, 48),
-            4,
-            1,
-            1,
-            0,
-            cycles,
-        )
+        let tasks = Executor::Tasks {
+            threads: 2,
+            plan: lulesh::task::PartitionPlan::fixed(48, 48),
+            overlap: false,
+        };
+        let (domains, _) = gather(run(&RunSpec {
+            executor: tasks,
+            ..RunSpec::new(decomp, sim)
+        }))
         .unwrap();
         let mut max_tp: f64 = 0.0;
         for (a, b) in world.domains.iter().zip(&domains) {
@@ -73,11 +75,11 @@ fn main() {
         }
         println!(
             "{ranks:>6} {:>14} {:>22} {:>20}",
-            "task-parallel", "= lockstep", "bitwise"
+            "task exec", "= lockstep", "bitwise"
         );
         assert_eq!(max_tp, 0.0);
     }
 
     println!("\ndecomposed runs agree with the single domain to interface-plane");
-    println!("float regrouping only; both drivers agree with each other exactly ✔");
+    println!("float regrouping only; both executors agree with lockstep exactly ✔");
 }

@@ -13,6 +13,12 @@ cargo fmt --all --check
 echo "== cargo clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "== perfbench compiles against the library crates =="
+# The benchmark's per-layer tool links multidom, parcelnet, lulesh-task and
+# the other crates from its own workspace; an API change that breaks it
+# must fail here, not at the next benchmark run.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier-1: cargo build && cargo test =="
 cargo build -q --workspace
 cargo test -q --workspace 2>&1 | tail -3

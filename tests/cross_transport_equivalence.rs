@@ -13,7 +13,7 @@
 //! only.
 
 use lulesh::core::validate::max_field_difference;
-use multidom::{threaded, Decomposition, FaultPlan, Grid3, SimArgs, TransportKind, World};
+use multidom::{Decomposition, Executor, Grid3, RunSpec, SimArgs, TransportKind, World};
 use parcelnet::dir;
 use std::time::Duration;
 
@@ -26,15 +26,19 @@ fn sim() -> SimArgs {
 
 /// Run the threaded driver over `kind` and return the final subdomains.
 fn run_threaded(decomp: Decomposition, kind: TransportKind) -> Vec<lulesh::core::Domain> {
-    threaded::run_transport(decomp, kind, DEADLINE, sim(), None, FaultPlan::NONE)
-        .into_iter()
-        .enumerate()
-        .map(|(r, res)| {
-            let (d, st) = res.unwrap_or_else(|e| panic!("{kind:?} rank {r}: {e}"));
-            assert_eq!(st.cycle, CYCLES);
-            d
-        })
-        .collect()
+    multidom::run(&RunSpec {
+        transport: kind,
+        deadline: DEADLINE,
+        ..RunSpec::new(decomp, sim())
+    })
+    .into_iter()
+    .enumerate()
+    .map(|(r, res)| {
+        let (d, st) = res.unwrap_or_else(|e| panic!("{kind:?} rank {r}: {e}"));
+        assert_eq!(st.cycle, CYCLES);
+        d
+    })
+    .collect()
 }
 
 /// Count bitwise mismatches across every duplicated interface surface of a
@@ -180,16 +184,16 @@ fn overlapped_taskpar_matches_lockstep_over_both_transports() {
         let mut world = World::build(decomp, 2, 1, 1, 0);
         world.run(CYCLES).unwrap();
         for kind in [TransportKind::Channel, TransportKind::TcpLoopback] {
-            let results = multidom::taskpar::run_transport(
-                decomp,
-                kind,
-                DEADLINE,
-                2,
-                lulesh::task::PartitionPlan::fixed(32, 32),
-                true,
-                sim(),
-                FaultPlan::NONE,
-            );
+            let results = multidom::run(&RunSpec {
+                transport: kind,
+                deadline: DEADLINE,
+                executor: Executor::Tasks {
+                    threads: 2,
+                    plan: lulesh::task::PartitionPlan::fixed(32, 32),
+                    overlap: true,
+                },
+                ..RunSpec::new(decomp, sim())
+            });
             for (r, (a, res)) in world.domains.iter().zip(results).enumerate() {
                 let (b, st) = res.unwrap_or_else(|e| panic!("{kind:?} rank {r}: {e}"));
                 assert_eq!(st.cycle, CYCLES);

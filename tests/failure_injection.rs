@@ -174,15 +174,13 @@ fn threaded_multidom_aborts_cleanly_across_ranks() {
         qstop: 1e-30,
         ..Default::default()
     };
-    let r = multidom::threaded::run_with_params(
+    let r = multidom::gather(multidom::run(&multidom::RunSpec::new(
         multidom::Decomposition::new(6, 3),
-        2,
-        1,
-        1,
-        0,
-        50,
-        params,
-    );
+        multidom::SimArgs {
+            params,
+            ..multidom::SimArgs::new(2, 1, 1, 0, 50)
+        },
+    )));
     assert_eq!(r.err(), Some(LuleshError::QStopError));
 }
 
@@ -192,17 +190,20 @@ fn taskpar_multidom_aborts_cleanly_across_ranks() {
         qstop: 1e-30,
         ..Default::default()
     };
-    let r = multidom::taskpar::run_with_params(
-        multidom::Decomposition::new(6, 2),
-        2,
-        PartitionPlan::fixed(24, 24),
-        2,
-        1,
-        1,
-        0,
-        50,
-        params,
-    );
+    let r = multidom::gather(multidom::run(&multidom::RunSpec {
+        executor: multidom::Executor::Tasks {
+            threads: 2,
+            plan: PartitionPlan::fixed(24, 24),
+            overlap: false,
+        },
+        ..multidom::RunSpec::new(
+            multidom::Decomposition::new(6, 2),
+            multidom::SimArgs {
+                params,
+                ..multidom::SimArgs::new(2, 1, 1, 0, 50)
+            },
+        )
+    }));
     assert_eq!(r.err(), Some(LuleshError::QStopError));
 }
 
@@ -214,7 +215,9 @@ fn taskpar_multidom_aborts_cleanly_across_ranks() {
 // typed `ParcelError` to every survivor.
 // ---------------------------------------------------------------------------
 
-use multidom::{Decomposition, FaultPlan, MdError, SimArgs, TransportKind};
+use multidom::{
+    Decomposition, Executor, FaultPlan, MdError, ResilPlan, RunSpec, SimArgs, TransportKind,
+};
 use std::time::{Duration, Instant};
 
 const TRANSPORTS: [TransportKind; 2] = [TransportKind::Channel, TransportKind::TcpLoopback];
@@ -229,18 +232,24 @@ fn for_both_drivers(
     check: impl Fn(&str, Vec<Result<(), MdError>>),
 ) {
     let decomp = Decomposition::new(6, 3);
-    let r = multidom::threaded::run_transport(decomp, kind, DEADLINE, sim, None, faults.clone());
+    let r = multidom::run(&RunSpec {
+        transport: kind,
+        deadline: DEADLINE,
+        faults: faults.clone(),
+        ..RunSpec::new(decomp, sim)
+    });
     check("threaded", r.into_iter().map(|r| r.map(|_| ())).collect());
-    let r = multidom::taskpar::run_transport(
-        decomp,
-        kind,
-        DEADLINE,
-        2,
-        PartitionPlan::fixed(16, 16),
-        false,
-        sim,
+    let r = multidom::run(&RunSpec {
+        transport: kind,
+        deadline: DEADLINE,
         faults,
-    );
+        executor: Executor::Tasks {
+            threads: 2,
+            plan: PartitionPlan::fixed(16, 16),
+            overlap: false,
+        },
+        ..RunSpec::new(decomp, sim)
+    });
     check("taskpar", r.into_iter().map(|r| r.map(|_| ())).collect());
 }
 
@@ -338,27 +347,26 @@ fn rank_killed_at_tcp_handshake_times_out_on_every_survivor() {
     for driver in ["threaded", "taskpar"] {
         let t0 = Instant::now();
         let results: Vec<Result<(), MdError>> = match driver {
-            "threaded" => multidom::threaded::run_transport(
-                decomp,
-                TransportKind::TcpLoopback,
-                short,
-                SimArgs::new(2, 1, 1, 0, 5),
-                None,
-                faults.clone(),
-            )
+            "threaded" => multidom::run(&RunSpec {
+                transport: TransportKind::TcpLoopback,
+                deadline: short,
+                faults: faults.clone(),
+                ..RunSpec::new(decomp, SimArgs::new(2, 1, 1, 0, 5))
+            })
             .into_iter()
             .map(|r| r.map(|_| ()))
             .collect(),
-            _ => multidom::taskpar::run_transport(
-                decomp,
-                TransportKind::TcpLoopback,
-                short,
-                2,
-                PartitionPlan::fixed(16, 16),
-                false,
-                SimArgs::new(2, 1, 1, 0, 5),
-                faults.clone(),
-            )
+            _ => multidom::run(&RunSpec {
+                transport: TransportKind::TcpLoopback,
+                deadline: short,
+                faults: faults.clone(),
+                executor: Executor::Tasks {
+                    threads: 2,
+                    plan: PartitionPlan::fixed(16, 16),
+                    overlap: false,
+                },
+                ..RunSpec::new(decomp, SimArgs::new(2, 1, 1, 0, 5))
+            })
             .into_iter()
             .map(|r| r.map(|_| ()))
             .collect(),
@@ -394,25 +402,43 @@ fn rank_killed_at_tcp_handshake_times_out_on_every_survivor() {
 fn killed_rank_recovers_from_checkpoints_bit_identically() {
     let decomp = Decomposition::new(6, 3);
     let sim = SimArgs::new(2, 1, 1, 0, 30);
-    for kind in TRANSPORTS {
+    let executors = [
+        Executor::Serial,
+        Executor::Tasks {
+            threads: 2,
+            plan: PartitionPlan::fixed(16, 16),
+            overlap: false,
+        },
+    ];
+    for (executor, kind) in executors
+        .into_iter()
+        .flat_map(|e| TRANSPORTS.map(|k| (e, k)))
+    {
         let dir =
             std::env::temp_dir().join(format!("resil-recover-{kind:?}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let spec = RunSpec {
+            transport: kind,
+            deadline: DEADLINE,
+            executor,
+            ..RunSpec::new(decomp, sim)
+        };
         // The uninterrupted reference run.
-        let clean =
-            multidom::threaded::run_transport(decomp, kind, DEADLINE, sim, None, FaultPlan::NONE);
+        let clean = multidom::run(&spec);
         // Kill rank 1 after cycle 17; checkpoints land every 5 cycles, so
         // the newest globally consistent wave is cycle 15.
         let report = multidom::recovery::run_with_recovery(
-            decomp,
-            kind,
-            DEADLINE,
-            sim,
-            FaultPlan {
-                die_at: vec![(1, 17)],
-                ..FaultPlan::NONE
+            &RunSpec {
+                faults: FaultPlan {
+                    die_at: vec![(1, 17)],
+                    ..FaultPlan::NONE
+                },
+                resil: ResilPlan {
+                    ckpt: Some(resil::CkptConfig::new(dir.clone(), 5)),
+                    resume_cycle: None,
+                },
+                ..spec
             },
-            resil::CkptConfig::new(dir.clone(), 5),
             3,
         );
         assert_eq!(
@@ -453,15 +479,19 @@ fn recovery_without_any_checkpoint_cold_restarts() {
     let dir = std::env::temp_dir().join(format!("resil-coldstart-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let report = multidom::recovery::run_with_recovery(
-        decomp,
-        TransportKind::Channel,
-        DEADLINE,
-        sim,
-        FaultPlan {
-            die_at: vec![(1, 3)],
-            ..FaultPlan::NONE
+        &RunSpec {
+            transport: TransportKind::Channel,
+            deadline: DEADLINE,
+            faults: FaultPlan {
+                die_at: vec![(1, 3)],
+                ..FaultPlan::NONE
+            },
+            resil: ResilPlan {
+                ckpt: Some(resil::CkptConfig::new(dir.clone(), 100)),
+                resume_cycle: None,
+            },
+            ..RunSpec::new(decomp, sim)
         },
-        resil::CkptConfig::new(dir.clone(), 100),
         3,
     );
     assert_eq!(report.attempts, 2);
@@ -481,15 +511,19 @@ fn unrecoverable_job_reports_the_failure_after_max_attempts() {
     let dir = std::env::temp_dir().join(format!("resil-exhaust-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let report = multidom::recovery::run_with_recovery(
-        decomp,
-        TransportKind::Channel,
-        DEADLINE,
-        sim,
-        FaultPlan {
-            die_at: vec![(1, 10), (1, 20)],
-            ..FaultPlan::NONE
+        &RunSpec {
+            transport: TransportKind::Channel,
+            deadline: DEADLINE,
+            faults: FaultPlan {
+                die_at: vec![(1, 10), (1, 20)],
+                ..FaultPlan::NONE
+            },
+            resil: ResilPlan {
+                ckpt: Some(resil::CkptConfig::new(dir.clone(), 4)),
+                resume_cycle: None,
+            },
+            ..RunSpec::new(decomp, sim)
         },
-        resil::CkptConfig::new(dir.clone(), 4),
         2,
     );
     assert_eq!(report.attempts, 2);
@@ -508,16 +542,17 @@ fn taskpar_reduce_dt_propagates_errors() {
     // The task driver's reduce_dt hook must be called even on error (a rank
     // returning early would deadlock its peers). Verify via the public API:
     // a poisoned single-rank taskpar run returns Err cleanly.
-    let (r,) = (multidom::taskpar::run(
-        multidom::Decomposition::new(6, 1),
-        2,
-        PartitionPlan::fixed(16, 16),
-        2,
-        1,
-        1,
-        0,
-        5,
-    ),);
+    let (r,) = (multidom::gather(multidom::run(&RunSpec {
+        executor: Executor::Tasks {
+            threads: 2,
+            plan: PartitionPlan::fixed(16, 16),
+            overlap: false,
+        },
+        ..RunSpec::new(
+            multidom::Decomposition::new(6, 1),
+            SimArgs::new(2, 1, 1, 0, 5),
+        )
+    })),);
     // Unpoisoned baseline succeeds...
     assert!(r.is_ok());
     // ... and the run_with_hooks contract surfaces local errors through the

@@ -1,9 +1,12 @@
 //! # lulesh-task — the paper's many-task LULESH
 //!
 //! The contribution of Kalkhof & Koch (SC'24), rebuilt on the
-//! HPX-substitute [`taskrt`] runtime. Per iteration of the leapfrog the
-//! driver **pre-creates the whole task graph** with futures and
-//! continuations, applying the paper's tricks:
+//! HPX-substitute [`taskrt`] runtime. The driver describes the **whole
+//! task graph** of one leapfrog iteration — task chains and `when_all`
+//! joins — compiles it once per partition plan into a
+//! [`taskrt::TaskGraph`], and replays it every iteration (where HPX code
+//! re-creates its futures each step; see DESIGN.md), applying the
+//! paper's tricks:
 //!
 //! * **T1 — manual partitioning**: each loop becomes `⌈N/P⌉` tasks of `P`
 //!   iterations, with `P` from [`PartitionPlan`] (Table I).
@@ -49,11 +52,12 @@ use lulesh_core::types::{LuleshError, Real};
 use obs::{SpanKind, Tracer};
 use parking_lot::Mutex;
 use parutil::{chunks_of, AlignedBuf, CachePadded, Chunk, SharedVec};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use taskrt::topology::{self, Topology};
-use taskrt::{Future, NodeStealStat, PhaseStat, Runtime, RuntimeConfig};
+use taskrt::{GraphBuilder, NodeId, NodeStealStat, PhaseStat, Runtime, RuntimeConfig, TaskGraph};
 
 /// How the driver picks partition sizes for a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -292,6 +296,10 @@ struct TaskScratch {
     z8n: SharedVec<Real>,
     volume_error: AtomicBool,
     qstop_error: AtomicBool,
+    /// This iteration's time step (`f64` bits): the compiled graph is
+    /// replayed every step, so its bodies read `dt` here instead of
+    /// capturing it.
+    dt: AtomicU64,
     /// (dtcourant, dthydro) running minima for the current iteration.
     dt_mins: Mutex<(Real, Real)>,
     /// Per-worker kernel scratch slots (`threads + 1`: one per worker plus
@@ -335,14 +343,24 @@ impl TaskScratch {
             z8n: g(8 * num_elem),
             volume_error: AtomicBool::new(false),
             qstop_error: AtomicBool::new(false),
+            dt: AtomicU64::new(0),
             dt_mins: Mutex::new((1.0e20, 1.0e20)),
         }
     }
 
-    fn reset_iteration(&self) {
+    /// Arm the scratch for an iteration at time step `dt`. Runs on the
+    /// control thread before the graph is launched, which orders these
+    /// stores before every task of the iteration.
+    fn reset_iteration(&self, dt: Real) {
         self.volume_error.store(false, Ordering::Relaxed);
         self.qstop_error.store(false, Ordering::Relaxed);
+        self.dt.store(dt.to_bits(), Ordering::Relaxed);
         *self.dt_mins.lock() = (1.0e20, 1.0e20);
+    }
+
+    /// The current iteration's time step.
+    fn dt(&self) -> Real {
+        Real::from_bits(self.dt.load(Ordering::Relaxed))
     }
 
     /// The calling thread's kernel scratch slot: workers use their own
@@ -354,36 +372,24 @@ impl TaskScratch {
     }
 }
 
-/// Scratch carried across [`TaskLulesh::step`] calls on one domain (see
-/// [`TaskLulesh::step_scratch`]).
-pub struct StepScratch(Arc<TaskScratch>);
+/// Everything [`TaskLulesh::step`] keeps across iterations of one domain
+/// (see [`TaskLulesh::step_scratch`]): the domain and hooks the iteration
+/// graph is bound to, the mesh-length scratch, and the compiled graph.
+pub struct StepScratch {
+    d: Arc<Domain>,
+    hooks: IterationHooks,
+    sc: Arc<TaskScratch>,
+    /// The iteration graph and the plan it was compiled for; recompiled
+    /// only when the plan changes.
+    graph: RefCell<Option<(PartitionPlan, TaskGraph)>>,
+}
 
-/// One task body.
-type Stage = Box<dyn FnOnce() + Send + 'static>;
+/// One task body, run once per replay of the iteration graph.
+type Stage = Box<dyn Fn() + Send + Sync + 'static>;
 
 /// A group of independent items (partitions), each a chain of stages.
 /// Within a group all items have the same number of stages.
-struct Group {
-    items: Vec<Vec<Stage>>,
-}
-
-impl Group {
-    fn new() -> Self {
-        Self { items: Vec::new() }
-    }
-
-    fn push(&mut self, stages: Vec<Stage>) {
-        debug_assert!(
-            self.items.is_empty() || self.items[0].len() == stages.len(),
-            "groups must be stage-uniform"
-        );
-        self.items.push(stages);
-    }
-
-    fn len(&self) -> usize {
-        self.items.len()
-    }
-}
+type Group = Vec<Vec<Stage>>;
 
 /// Statistics about one iteration's graph, used by the graph explorer
 /// example and the ablation bench.
@@ -603,10 +609,10 @@ impl TaskLulesh {
         let mut win_base = phase_totals(&self.rt.phase_stats());
 
         let mut state = SimState::new(d.initial_dt());
-        let scratch = self.step_scratch(d);
+        let scratch = self.step_scratch(d, hooks.clone());
         while state.time < d.params.stoptime && state.cycle < max_cycles {
             time_increment(&mut state, &d.params);
-            let (c, h, local_err) = self.step(d, &scratch, plan, state.deltatime, hooks);
+            let (c, h, local_err) = self.step(&scratch, plan, state.deltatime);
             let (c, h) = reduce_dt(c, h, local_err)?;
             state.dtcourant = c;
             state.dthydro = h;
@@ -650,38 +656,55 @@ impl TaskLulesh {
         Ok(state)
     }
 
-    /// The mesh-length scratch [`step`](Self::step) needs for `d`; build
-    /// it once per run and pass it to every step.
-    pub fn step_scratch(&self, d: &Domain) -> StepScratch {
-        StepScratch(Arc::new(TaskScratch::new(
-            d.num_elem(),
-            self.features.merge_kernels,
-            self.rt.threads(),
-        )))
+    /// The state [`step`](Self::step) keeps for `d`: build it once per
+    /// run and pass it to every step of this runner. It binds the domain
+    /// and the communication `hooks`, so every replay of the compiled
+    /// iteration graph runs exactly these.
+    pub fn step_scratch(&self, d: &Arc<Domain>, hooks: IterationHooks) -> StepScratch {
+        StepScratch {
+            d: Arc::clone(d),
+            hooks,
+            sc: Arc::new(TaskScratch::new(
+                d.num_elem(),
+                self.features.merge_kernels,
+                self.rt.threads(),
+            )),
+            graph: RefCell::new(None),
+        }
     }
 
-    /// One leapfrog iteration at time step `dt`: build the whole graph
-    /// (with `hooks` injected), execute it, join once. Returns this
-    /// domain's `(dtcourant, dthydro)` minima and the error the iteration
-    /// tripped, if any; the caller reduces them and advances the clock.
+    /// One leapfrog iteration at time step `dt`: replay the iteration
+    /// graph (compiled on the first step and whenever `plan` changes) and
+    /// join once. Returns this domain's `(dtcourant, dthydro)` minima and
+    /// the error the iteration tripped, if any; the caller reduces them
+    /// and advances the clock.
     pub fn step(
         &self,
-        d: &Arc<Domain>,
         scratch: &StepScratch,
         plan: PartitionPlan,
         dt: Real,
-        hooks: &IterationHooks,
     ) -> (Real, Real, Option<LuleshError>) {
-        let scratch = &scratch.0;
-        scratch.reset_iteration();
+        let sc = &scratch.sc;
+        sc.reset_iteration(dt);
 
-        // Pre-create the entire iteration graph, then join once.
         let iter_start = self.rt.tracer().map(|t| (Arc::clone(t), t.now_ns()));
-        let end = self.build_iteration(d, scratch, plan, dt, hooks);
-        end.get();
+        {
+            let mut slot = scratch.graph.borrow_mut();
+            let stale = !matches!(&*slot, Some((p, _)) if *p == plan);
+            if stale {
+                let graph = self.build_iteration(scratch, plan);
+                self.stats.set(GraphStats {
+                    tasks: graph.tasks(),
+                    barriers: graph.joins(),
+                });
+                *slot = Some((plan, graph));
+            }
+            let (_, graph) = slot.as_mut().expect("iteration graph compiled");
+            graph.run(&self.rt);
+        }
         if let Some((tracer, start)) = iter_start {
             // One region span per leapfrog iteration on the control
-            // lane, bracketing the whole graph: build + execute + join.
+            // lane, bracketing the whole graph: (compile +) execute + join.
             tracer.record_interval(
                 self.rt.current_lane(),
                 SpanKind::Region,
@@ -691,314 +714,188 @@ impl TaskLulesh {
             );
         }
 
-        let local_err = if scratch.volume_error.load(Ordering::Relaxed) {
+        let local_err = if sc.volume_error.load(Ordering::Relaxed) {
             Some(LuleshError::VolumeError)
-        } else if scratch.qstop_error.load(Ordering::Relaxed) {
+        } else if sc.qstop_error.load(Ordering::Relaxed) {
             Some(LuleshError::QStopError)
         } else {
             None
         };
-        let (c, h) = *scratch.dt_mins.lock();
+        let (c, h) = *sc.dt_mins.lock();
         (c, h, local_err)
     }
 
-    /// Spawn a group: every item becomes a chain of its stages (T2 on) or a
-    /// layered sequence with a barrier between stages (T2 off). `starts`
-    /// must hold one future per item, or be empty to spawn immediately.
-    /// `label` names the kernel phase on every task's trace span.
-    fn run_group(
+    /// Emit a group: every item becomes a chain of its stages (T2 on) or a
+    /// layered sequence with a join between stages (T2 off). Every item's
+    /// first stage waits on `start` (none: the item starts the graph).
+    /// `label` names the kernel phase on every task's trace span. Returns
+    /// each item's final node.
+    fn emit_group(
         &self,
+        g: &mut GraphBuilder,
         label: &'static str,
-        starts: Vec<Future<()>>,
+        start: Option<NodeId>,
         group: Group,
-        tasks: &mut usize,
-        barriers: &mut usize,
-    ) -> Vec<Future<()>> {
-        let k = group.len();
-        debug_assert!(starts.is_empty() || starts.len() == k);
-
+    ) -> Vec<NodeId> {
+        let task = |g: &mut GraphBuilder, dep: Option<NodeId>, stage: Stage| {
+            g.task(label, SpanKind::Task, dep.as_slice(), stage)
+        };
         if self.features.chain_continuations {
             // Per-item chains.
-            let mut finals = Vec::with_capacity(k);
-            let mut starts = starts.into_iter();
-            for stages in group.items {
-                let mut stages = stages.into_iter();
-                let first = stages.next().expect("group items are non-empty");
-                let mut fut = match starts.next() {
-                    Some(s) => s.then_labeled(&self.rt, label, move |_| first()),
-                    None => self.rt.spawn_labeled(label, first),
-                };
-                *tasks += 1;
-                for stage in stages {
-                    fut = fut.then_labeled(&self.rt, label, move |_| stage());
-                    *tasks += 1;
-                }
-                finals.push(fut);
-            }
-            finals
+            group
+                .into_iter()
+                .map(|stages| {
+                    let mut prev = start;
+                    for stage in stages {
+                        prev = Some(task(g, prev, stage));
+                    }
+                    prev.expect("group items are non-empty")
+                })
+                .collect()
         } else {
             // Layered: global barrier between consecutive stages (Fig 5).
-            let n_stages = group.items.first().map_or(0, |s| s.len());
+            let k = group.len();
+            let n_stages = group.first().map_or(0, |s| s.len());
             // Transpose into stage-major order.
             let mut layers: Vec<Vec<Stage>> =
                 (0..n_stages).map(|_| Vec::with_capacity(k)).collect();
-            for stages in group.items {
+            for stages in group {
+                debug_assert_eq!(stages.len(), n_stages, "groups must be stage-uniform");
                 for (l, s) in stages.into_iter().enumerate() {
                     layers[l].push(s);
                 }
             }
-            let mut starts = starts;
-            let mut futs: Vec<Future<()>> = Vec::new();
+            let mut start = start;
+            let mut finals: Vec<NodeId> = Vec::new();
             for (l, layer) in layers.into_iter().enumerate() {
                 if l > 0 {
-                    let barrier = self
-                        .rt
-                        .when_all_unit_labeled("barrier-stage", std::mem::take(&mut futs));
-                    *barriers += 1;
-                    starts = barrier.fork(k);
+                    start = Some(g.join("barrier-stage", &finals));
                 }
-                futs = if starts.is_empty() {
-                    layer
-                        .into_iter()
-                        .map(|s| {
-                            *tasks += 1;
-                            self.rt.spawn_labeled(label, s)
-                        })
-                        .collect()
-                } else {
-                    std::mem::take(&mut starts)
-                        .into_iter()
-                        .zip(layer)
-                        .map(|(f, s)| {
-                            *tasks += 1;
-                            f.then_labeled(&self.rt, label, move |_| s())
-                        })
-                        .collect()
-                };
+                finals = layer.into_iter().map(|s| task(g, start, s)).collect();
             }
-            futs
+            finals
         }
     }
 
-    /// Fan a barrier out over several independent groups and return every
-    /// item's final future (the fork/drain boilerplate shared by phases D,
-    /// E and F). Each group carries its phase label.
-    fn run_groups_from(
+    /// Emit several independent groups that all wait on `start` and return
+    /// every item's final node (phases D, E and F). Each group carries its
+    /// phase label.
+    fn emit_groups(
         &self,
-        barrier: Future<()>,
+        g: &mut GraphBuilder,
+        start: NodeId,
         groups: Vec<(&'static str, Group)>,
-        tasks: &mut usize,
-        barriers: &mut usize,
-    ) -> Vec<Future<()>> {
-        let total: usize = groups.iter().map(|(_, g)| g.len()).sum();
-        let mut starts = barrier.fork(total);
-        let mut finals = Vec::with_capacity(total);
-        for (label, g) in groups {
-            let s: Vec<_> = starts.drain(..g.len()).collect();
-            finals.extend(self.run_group(label, s, g, tasks, barriers));
-        }
-        finals
+    ) -> Vec<NodeId> {
+        groups
+            .into_iter()
+            .flat_map(|(label, group)| self.emit_group(g, label, Some(start), group))
+            .collect()
     }
 
-    /// Build the full task graph for one `LagrangeLeapFrog` iteration and
-    /// return the iteration-end future.
-    fn build_iteration(
-        &self,
-        d: &Arc<Domain>,
-        sc: &Arc<TaskScratch>,
-        plan: PartitionPlan,
-        dt: Real,
-        hooks: &IterationHooks,
-    ) -> Future<()> {
+    /// Compile the task graph of one `LagrangeLeapFrog` iteration over
+    /// the domain and hooks `scratch` is bound to.
+    fn build_iteration(&self, scratch: &StepScratch, plan: PartitionPlan) -> TaskGraph {
+        let (d, sc, hooks) = (&scratch.d, &scratch.sc, &scratch.hooks);
         let num_elem = d.num_elem();
         let num_node = d.num_node();
         let f = self.features;
-        let mut tasks = 0usize;
-        let mut barriers = 0usize;
+        let mut builder = GraphBuilder::new();
+        let g = &mut builder;
+        let hook_task = |g: &mut GraphBuilder, label, dep: NodeId, hook: &Hook| {
+            let hook = Arc::clone(hook);
+            g.task(label, SpanKind::Halo, &[dep], move || hook())
+        };
 
         // ---------------- Phase A: element force chains ----------------
-        let mut stress_group = Group::new();
-        for c in chunks_of(num_elem, plan.nodal) {
-            stress_group.push(stress_stages(d, sc, c, f.merge_kernels));
-        }
-        let mut hg_group = Group::new();
-        for c in chunks_of(num_elem, plan.nodal) {
-            hg_group.push(hourglass_stages(d, sc, c, f.merge_kernels));
-        }
+        let stress_group: Group = chunks_of(num_elem, plan.nodal)
+            .map(|c| stress_stages(d, sc, c, f.merge_kernels))
+            .collect();
+        let hg_group: Group = chunks_of(num_elem, plan.nodal)
+            .map(|c| hourglass_stages(d, sc, c, f.merge_kernels))
+            .collect();
 
         let b1 = if f.parallel_force_chains {
-            let mut finals = self.run_group(
-                "stress",
-                Vec::new(),
-                stress_group,
-                &mut tasks,
-                &mut barriers,
-            );
-            finals.extend(self.run_group(
-                "hourglass",
-                Vec::new(),
-                hg_group,
-                &mut tasks,
-                &mut barriers,
-            ));
-            self.rt.when_all_unit_labeled("barrier-forces", finals)
+            let mut finals = self.emit_group(g, "stress", None, stress_group);
+            finals.extend(self.emit_group(g, "hourglass", None, hg_group));
+            g.join("barrier-forces", &finals)
         } else {
             // Reference-like ordering: all stress, barrier, all hourglass.
-            let sf = self.run_group(
-                "stress",
-                Vec::new(),
-                stress_group,
-                &mut tasks,
-                &mut barriers,
-            );
-            let sb = self.rt.when_all_unit_labeled("barrier-stress-hg", sf);
-            barriers += 1;
-            let k = hg_group.len();
-            let hf = self.run_group("hourglass", sb.fork(k), hg_group, &mut tasks, &mut barriers);
-            self.rt.when_all_unit_labeled("barrier-forces", hf)
+            let sf = self.emit_group(g, "stress", None, stress_group);
+            let sb = g.join("barrier-stress-hg", &sf);
+            let hf = self.emit_group(g, "hourglass", Some(sb), hg_group);
+            g.join("barrier-forces", &hf)
         };
-        barriers += 1;
 
         // ---------------- Phase B: node chains ----------------
+        let update_group = || -> Group {
+            chunks_of(num_node, plan.nodal)
+                .map(|c| node_update_stages(d, sc, c, f.merge_kernels))
+                .collect()
+        };
         let b2 = if let Some(ov) = &hooks.overlap_forces {
             // Comm/compute overlap: boundary gathers feed the send task the
             // moment they finish; the receive+combine continuation runs
             // while the interior gathers are still in flight. One join
             // before the node update replaces the gather barrier.
-            let interior = complement(&ov.boundary, num_node);
-            let mut bgather = Group::new();
-            for r in &ov.boundary {
-                for c in chunks_in(r.clone(), plan.nodal) {
-                    bgather.push(vec![node_gather_stage(d, sc, c)]);
-                }
-            }
-            let mut igather = Group::new();
-            for r in &interior {
-                for c in chunks_in(r.clone(), plan.nodal) {
-                    igather.push(vec![node_gather_stage(d, sc, c)]);
-                }
-            }
-            let kb = bgather.len();
-            let ki = igather.len();
-            let mut starts = b1.fork(kb + ki);
-            let bstarts: Vec<_> = starts.drain(..kb).collect();
-            let gfb = self.run_group("node-gather", bstarts, bgather, &mut tasks, &mut barriers);
-            let gfi = self.run_group("node-gather", starts, igather, &mut tasks, &mut barriers);
+            let gather_group = |ranges: &[std::ops::Range<usize>]| -> Group {
+                ranges
+                    .iter()
+                    .flat_map(|r| chunks_in(r.clone(), plan.nodal))
+                    .map(|c| vec![node_gather_stage(d, sc, c)])
+                    .collect()
+            };
+            let bgather = gather_group(&ov.boundary);
+            let igather = gather_group(&complement(&ov.boundary, num_node));
+            let gfb = self.emit_group(g, "node-gather", Some(b1), bgather);
+            let mut joined = self.emit_group(g, "node-gather", Some(b1), igather);
 
-            let bg = self.rt.when_all_unit_labeled("barrier-gather", gfb);
-            barriers += 1;
-            let send = Arc::clone(&ov.send);
-            tasks += 1;
-            let sent = bg.then_kind(&self.rt, "halo-send", SpanKind::Halo, move |_| send());
-            let recv = Arc::clone(&ov.recv_combine);
-            tasks += 1;
-            let received = sent.then_kind(&self.rt, "halo-recv", SpanKind::Halo, move |_| recv());
+            let bg = g.join("barrier-gather", &gfb);
+            let sent = hook_task(g, "halo-send", bg, &ov.send);
+            joined.push(hook_task(g, "halo-recv", sent, &ov.recv_combine));
+            let all = g.join("barrier-halo", &joined);
 
-            let mut joined = gfi;
-            joined.push(received);
-            let all = self.rt.when_all_unit_labeled("barrier-halo", joined);
-            barriers += 1;
-
-            let mut update_group = Group::new();
-            for c in chunks_of(num_node, plan.nodal) {
-                update_group.push(node_update_stages(d, c, dt, f.merge_kernels));
-            }
-            let k = update_group.len();
-            let uf = self.run_group(
-                "node-update",
-                all.fork(k),
-                update_group,
-                &mut tasks,
-                &mut barriers,
-            );
-            let b2 = self.rt.when_all_unit_labeled("barrier-nodes", uf);
-            barriers += 1;
-            b2
+            let uf = self.emit_group(g, "node-update", Some(all), update_group());
+            g.join("barrier-nodes", &uf)
         } else {
             match &hooks.after_forces {
                 None => {
-                    let mut node_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        node_group.push(node_stages(d, sc, c, dt, f.merge_kernels));
-                    }
-                    let k = node_group.len();
-                    let bf =
-                        self.run_group("node", b1.fork(k), node_group, &mut tasks, &mut barriers);
-                    let b2 = self.rt.when_all_unit_labeled("barrier-nodes", bf);
-                    barriers += 1;
-                    b2
+                    let node_group: Group = chunks_of(num_node, plan.nodal)
+                        .map(|c| node_stages(d, sc, c, f.merge_kernels))
+                        .collect();
+                    let bf = self.emit_group(g, "node", Some(b1), node_group);
+                    g.join("barrier-nodes", &bf)
                 }
                 Some(hook) => {
                     // Multi-domain: the halo force sum needs the gathered nodal
                     // forces, so phase B splits at the gather (reference order:
                     // gather, CommSBN, then the node update) — one extra
                     // barrier, exactly like the MPI version.
-                    let mut gather_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        gather_group.push(vec![node_gather_stage(d, sc, c)]);
-                    }
-                    let k = gather_group.len();
-                    let gf = self.run_group(
-                        "node-gather",
-                        b1.fork(k),
-                        gather_group,
-                        &mut tasks,
-                        &mut barriers,
-                    );
-                    let bg = self.rt.when_all_unit_labeled("barrier-gather", gf);
-                    barriers += 1;
-                    let hook = Arc::clone(hook);
-                    tasks += 1;
-                    let hooked =
-                        bg.then_kind(&self.rt, "halo-forces", SpanKind::Halo, move |_| hook());
-
-                    let mut update_group = Group::new();
-                    for c in chunks_of(num_node, plan.nodal) {
-                        update_group.push(node_update_stages(d, c, dt, f.merge_kernels));
-                    }
-                    let k = update_group.len();
-                    let uf = self.run_group(
-                        "node-update",
-                        hooked.fork(k),
-                        update_group,
-                        &mut tasks,
-                        &mut barriers,
-                    );
-                    let b2 = self.rt.when_all_unit_labeled("barrier-nodes", uf);
-                    barriers += 1;
-                    b2
+                    let gather_group: Group = chunks_of(num_node, plan.nodal)
+                        .map(|c| vec![node_gather_stage(d, sc, c)])
+                        .collect();
+                    let gf = self.emit_group(g, "node-gather", Some(b1), gather_group);
+                    let bg = g.join("barrier-gather", &gf);
+                    let hooked = hook_task(g, "halo-forces", bg, hook);
+                    let uf = self.emit_group(g, "node-update", Some(hooked), update_group());
+                    g.join("barrier-nodes", &uf)
                 }
             }
         };
 
         // ---------------- Phase C: element kinematics chains ----------------
-        let mut kin_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            kin_group.push(kinematics_stages(d, sc, c, dt, f.merge_kernels));
-        }
-        let k = kin_group.len();
-        let cf = self.run_group(
-            "kinematics",
-            b2.fork(k),
-            kin_group,
-            &mut tasks,
-            &mut barriers,
-        );
-        let b3 = self.rt.when_all_unit_labeled("barrier-kinematics", cf);
-        barriers += 1;
+        let kin_group: Group = chunks_of(num_elem, plan.elements)
+            .map(|c| kinematics_stages(d, sc, c, f.merge_kernels))
+            .collect();
+        let cf = self.emit_group(g, "kinematics", Some(b2), kin_group);
+        let b3 = g.join("barrier-kinematics", &cf);
 
         // Inter-domain gradient-ghost exchange (multi-domain runs).
         let b3 = match &hooks.after_gradients {
-            Some(hook) => {
-                let hook = Arc::clone(hook);
-                tasks += 1;
-                b3.then_kind(&self.rt, "halo-gradients", SpanKind::Halo, move |_| hook())
-            }
+            Some(hook) => hook_task(g, "halo-gradients", b3, hook),
             None => b3,
         };
 
         // ---------------- Phase D: monotonic Q + vnewc prep ----------------
-        let mut d_groups: Vec<(&'static str, Group)> = Vec::new();
         let mut q_group = Group::new();
         for r in 0..d.num_reg() {
             let reg_len = d.regions.reg_elem_list[r].len();
@@ -1010,93 +907,96 @@ impl TaskLulesh {
                 }) as Stage]);
             }
         }
-        d_groups.push(("monoq", q_group));
-
-        let mut vnewc_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            vnewc_group.push(vnewc_stages(d, sc, c, f.merge_kernels));
-        }
-        d_groups.push(("vnewc", vnewc_group));
-
-        let mut qstop_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            let dd = Arc::clone(d);
-            let ss = Arc::clone(sc);
-            qstop_group.push(vec![Box::new(move || {
-                if monoq::check_q_stop(&dd, dd.params.qstop, c).is_err() {
-                    ss.qstop_error.store(true, Ordering::Relaxed);
-                }
-            }) as Stage]);
-        }
-        d_groups.push(("qstop", qstop_group));
-
-        let d_finals = self.run_groups_from(b3, d_groups, &mut tasks, &mut barriers);
-        let b4 = self.rt.when_all_unit_labeled("barrier-q", d_finals);
-        barriers += 1;
-
-        // ---------------- Phase E: per-region EOS ----------------
-        let mut region_groups: Vec<(&'static str, Group)> = Vec::new();
-        for r in 0..d.num_reg() {
-            let mut g = Group::new();
-            let reg_len = d.regions.reg_elem_list[r].len();
-            let rep = d.regions.rep(r);
-            for c in chunks_of(reg_len, plan.elements) {
+        let vnewc_group: Group = chunks_of(num_elem, plan.elements)
+            .map(|c| vnewc_stages(d, sc, c, f.merge_kernels))
+            .collect();
+        let qstop_group: Group = chunks_of(num_elem, plan.elements)
+            .map(|c| {
                 let dd = Arc::clone(d);
                 let ss = Arc::clone(sc);
-                g.push(vec![Box::new(move || {
-                    // SAFETY: vnewc was fully written in phase D (barrier
-                    // b4) and is read-only during EOS.
-                    let vnewc = unsafe { ss.vnewc.as_slice() };
-                    let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
-                    // Thread-local EOS temporaries: the paper's locality
-                    // trick T6 keeps these out of the global arrays; the
-                    // per-worker pool keeps T6's locality (the scratch
-                    // lives on the executing worker — and, pinned, on its
-                    // NUMA node) while dropping the per-task allocation.
-                    // `reset` restores the exact `EosScratch::new` state,
-                    // so results are bit-identical.
-                    let mut ks = ss.kernel_scratch();
-                    ks.eos.reset(elems.len());
-                    eos::eval_eos_for_elems(&dd, vnewc, elems, rep, &dd.params, &mut ks.eos);
-                }) as Stage]);
-            }
-            region_groups.push(("eos", g));
-        }
+                vec![Box::new(move || {
+                    if monoq::check_q_stop(&dd, dd.params.qstop, c).is_err() {
+                        ss.qstop_error.store(true, Ordering::Relaxed);
+                    }
+                }) as Stage]
+            })
+            .collect();
+        let d_finals = self.emit_groups(
+            g,
+            b3,
+            vec![
+                ("monoq", q_group),
+                ("vnewc", vnewc_group),
+                ("qstop", qstop_group),
+            ],
+        );
+        let b4 = g.join("barrier-q", &d_finals);
+
+        // ---------------- Phase E: per-region EOS ----------------
+        let region_groups: Vec<(&'static str, Group)> = (0..d.num_reg())
+            .map(|r| {
+                let reg_len = d.regions.reg_elem_list[r].len();
+                let rep = d.regions.rep(r);
+                let group = chunks_of(reg_len, plan.elements)
+                    .map(|c| {
+                        let dd = Arc::clone(d);
+                        let ss = Arc::clone(sc);
+                        vec![Box::new(move || {
+                            // SAFETY: vnewc was fully written in phase D
+                            // (barrier b4) and is read-only during EOS.
+                            let vnewc = unsafe { ss.vnewc.as_slice() };
+                            let elems = &dd.regions.reg_elem_list[r][c.begin..c.end];
+                            // Thread-local EOS temporaries: the paper's
+                            // locality trick T6 keeps these out of the global
+                            // arrays; the per-worker pool keeps T6's locality
+                            // (the scratch lives on the executing worker —
+                            // and, pinned, on its NUMA node) while dropping
+                            // the per-task allocation. `reset` restores the
+                            // exact `EosScratch::new` state, so results are
+                            // bit-identical.
+                            let mut ks = ss.kernel_scratch();
+                            ks.eos.reset(elems.len());
+                            eos::eval_eos_for_elems(
+                                &dd,
+                                vnewc,
+                                elems,
+                                rep,
+                                &dd.params,
+                                &mut ks.eos,
+                            );
+                        }) as Stage]
+                    })
+                    .collect();
+                ("eos", group)
+            })
+            .collect();
 
         let b5 = if f.parallel_region_eos {
-            let finals = self.run_groups_from(b4, region_groups, &mut tasks, &mut barriers);
-            self.rt.when_all_unit_labeled("barrier-eos", finals)
+            let finals = self.emit_groups(g, b4, region_groups);
+            g.join("barrier-eos", &finals)
         } else {
             // Sequential regions: barrier between consecutive regions.
             // Empty regions are skipped so they don't sever the chain.
             let mut barrier = b4;
-            let mut first = true;
-            for (label, g) in region_groups {
-                if g.len() == 0 {
+            for (label, group) in region_groups {
+                if group.is_empty() {
                     continue;
                 }
-                if !first {
-                    barriers += 1;
-                }
-                first = false;
-                let k = g.len();
-                let finals = self.run_group(label, barrier.fork(k), g, &mut tasks, &mut barriers);
-                barrier = self.rt.when_all_unit_labeled("barrier-eos-region", finals);
+                let finals = self.emit_group(g, label, Some(barrier), group);
+                barrier = g.join("barrier-eos-region", &finals);
             }
             barrier
         };
-        barriers += 1;
 
         // ---------------- Phase F: volume commit + dt constraints ----------------
-        let mut f_groups: Vec<(&'static str, Group)> = Vec::new();
-        let mut upd_group = Group::new();
-        for c in chunks_of(num_elem, plan.elements) {
-            let dd = Arc::clone(d);
-            upd_group.push(vec![Box::new(move || {
-                kinematics::update_volumes_for_elems(&dd, dd.params.v_cut, c);
-            }) as Stage]);
-        }
-        f_groups.push(("volume", upd_group));
+        let upd_group: Group = chunks_of(num_elem, plan.elements)
+            .map(|c| {
+                let dd = Arc::clone(d);
+                vec![Box::new(move || {
+                    kinematics::update_volumes_for_elems(&dd, dd.params.v_cut, c);
+                }) as Stage]
+            })
+            .collect();
 
         let mut con_group = Group::new();
         for r in 0..d.num_reg() {
@@ -1122,14 +1022,15 @@ impl TaskLulesh {
                 }) as Stage]);
             }
         }
-        f_groups.push(("constraints", con_group));
 
-        let f_finals = self.run_groups_from(b5, f_groups, &mut tasks, &mut barriers);
-        let end = self.rt.when_all_unit_labeled("barrier-end", f_finals);
-        barriers += 1; // the iteration-end join
-
-        self.stats.set(GraphStats { tasks, barriers });
-        end
+        let f_finals = self.emit_groups(
+            g,
+            b5,
+            vec![("volume", upd_group), ("constraints", con_group)],
+        );
+        // The iteration-end join.
+        g.join("barrier-end", &f_finals);
+        builder.build()
     }
 }
 
@@ -1387,10 +1288,17 @@ fn node_gather_stage(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk) -> Stage 
     })
 }
 
-fn node_update_stages(d: &Arc<Domain>, c: Chunk, dt: Real, merged: bool) -> Vec<Stage> {
+fn node_update_stages(
+    d: &Arc<Domain>,
+    sc: &Arc<TaskScratch>,
+    c: Chunk,
+    merged: bool,
+) -> Vec<Stage> {
     if merged {
         let d = Arc::clone(d);
+        let sc = Arc::clone(sc);
         vec![Box::new(move || {
+            let dt = sc.dt();
             nodal::calc_acceleration_for_nodes(&d, c);
             nodal::apply_acceleration_bc_by_node_range(&d, c);
             nodal::calc_velocity_for_nodes(&d, dt, d.params.u_cut, c);
@@ -1399,26 +1307,20 @@ fn node_update_stages(d: &Arc<Domain>, c: Chunk, dt: Real, merged: bool) -> Vec<
     } else {
         let d1 = Arc::clone(d);
         let d2 = Arc::clone(d);
-        let d3 = Arc::clone(d);
-        let d4 = Arc::clone(d);
+        let (d3, s3) = (Arc::clone(d), Arc::clone(sc));
+        let (d4, s4) = (Arc::clone(d), Arc::clone(sc));
         vec![
             Box::new(move || nodal::calc_acceleration_for_nodes(&d1, c)),
             Box::new(move || nodal::apply_acceleration_bc_by_node_range(&d2, c)),
-            Box::new(move || nodal::calc_velocity_for_nodes(&d3, dt, d3.params.u_cut, c)),
-            Box::new(move || nodal::calc_position_for_nodes(&d4, dt, c)),
+            Box::new(move || nodal::calc_velocity_for_nodes(&d3, s3.dt(), d3.params.u_cut, c)),
+            Box::new(move || nodal::calc_position_for_nodes(&d4, s4.dt(), c)),
         ]
     }
 }
 
-fn node_stages(
-    d: &Arc<Domain>,
-    sc: &Arc<TaskScratch>,
-    c: Chunk,
-    dt: Real,
-    merged: bool,
-) -> Vec<Stage> {
+fn node_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
     let gather = node_gather_stage(d, sc, c);
-    let updates = node_update_stages(d, c, dt, merged);
+    let updates = node_update_stages(d, sc, c, merged);
     if merged {
         // One fused task: gather + the whole node update.
         let update = updates.into_iter().next().expect("merged update stage");
@@ -1433,30 +1335,24 @@ fn node_stages(
     }
 }
 
-fn kinematics_stages(
-    d: &Arc<Domain>,
-    sc: &Arc<TaskScratch>,
-    c: Chunk,
-    dt: Real,
-    merged: bool,
-) -> Vec<Stage> {
+fn kinematics_stages(d: &Arc<Domain>, sc: &Arc<TaskScratch>, c: Chunk, merged: bool) -> Vec<Stage> {
     if merged {
         let d = Arc::clone(d);
         let sc = Arc::clone(sc);
         vec![Box::new(move || {
-            kinematics::calc_kinematics_for_elems(&d, dt, c);
+            kinematics::calc_kinematics_for_elems(&d, sc.dt(), c);
             if kinematics::calc_lagrange_elements_finish(&d, c).is_err() {
                 sc.volume_error.store(true, Ordering::Relaxed);
             }
             monoq::calc_monotonic_q_gradients_for_elems(&d, c);
         })]
     } else {
-        let d1 = Arc::clone(d);
+        let (d1, s1) = (Arc::clone(d), Arc::clone(sc));
         let d2 = Arc::clone(d);
         let s2 = Arc::clone(sc);
         let d3 = Arc::clone(d);
         vec![
-            Box::new(move || kinematics::calc_kinematics_for_elems(&d1, dt, c)),
+            Box::new(move || kinematics::calc_kinematics_for_elems(&d1, s1.dt(), c)),
             Box::new(move || {
                 if kinematics::calc_lagrange_elements_finish(&d2, c).is_err() {
                     s2.volume_error.store(true, Ordering::Relaxed);

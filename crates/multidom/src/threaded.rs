@@ -591,9 +591,9 @@ enum Stepper {
 /// The task executor's per-rank state, kept across steps.
 struct TaskStep {
     runner: TaskLulesh,
+    /// Binds the rank's domain and its halo-exchange hooks.
     scratch: StepScratch,
     plan: PartitionPlan,
-    hooks: IterationHooks,
     /// A transport failure inside a comm task, which cannot unwind
     /// through the hook's `Fn()` signature: every later hook becomes a
     /// no-op and the step reports the error.
@@ -652,12 +652,11 @@ impl Stepper {
             hooks.after_forces = Some(hook(halo_exchange_forces));
         }
         let runner = TaskLulesh::new(threads);
-        let scratch = runner.step_scratch(d);
+        let scratch = runner.step_scratch(d, hooks);
         Stepper::Tasks(Box::new(TaskStep {
             runner,
             scratch,
             plan,
-            hooks,
             comm_err,
         }))
     }
@@ -676,7 +675,7 @@ impl Stepper {
         match self {
             Stepper::Serial(scratch) => serial_step(d, scratch, dt, net, halo, probe),
             Stepper::Tasks(t) => {
-                let out = t.runner.step(d, &t.scratch, t.plan, dt, &t.hooks);
+                let out = t.runner.step(&t.scratch, t.plan, dt);
                 match *t.comm_err.lock() {
                     Some(e) => Err(e),
                     None => Ok(out),

@@ -7,7 +7,7 @@
 //! attached; [`Future::shared_value`] splits a future in two for diamond
 //! dependencies (the role of `hpx::shared_future`).
 
-use crate::scheduler::Runtime;
+use crate::scheduler::{Runtime, Task};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -157,40 +157,14 @@ impl<T: Send + 'static> Future<T> {
         U: Send + 'static,
         F: FnOnce(T) -> U + Send + 'static,
     {
-        self.then_kind(rt, "task", obs::SpanKind::Task, f)
-    }
-
-    /// [`then`](Self::then) with a phase label for the continuation's trace
-    /// span.
-    pub fn then_labeled<U, F>(self, rt: &Runtime, label: &'static str, f: F) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        self.then_kind(rt, label, obs::SpanKind::Task, f)
-    }
-
-    /// [`then`](Self::then) with full control over the span's label and
-    /// kind (e.g. [`obs::SpanKind::Halo`] for a halo-exchange
-    /// continuation).
-    pub fn then_kind<U, F>(
-        self,
-        rt: &Runtime,
-        label: &'static str,
-        kind: obs::SpanKind,
-        f: F,
-    ) -> Future<U>
-    where
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
         let (promise, out) = promise_pair();
         let rt = rt.clone();
         self.attach_inner(Box::new(move |value: T| {
-            rt.submit(Box::new(move || {
-                let result = crate::scheduler::exec_timed(label, kind, move || f(value));
+            rt.submit(Task::Boxed(Box::new(move || {
+                let result =
+                    crate::scheduler::exec_timed("task", obs::SpanKind::Task, move || f(value));
                 promise.set_value(result);
-            }));
+            })));
         }));
         out
     }
@@ -212,8 +186,8 @@ impl<T: Send + 'static> Future<T> {
     }
 
     /// Fan a future out to `n` futures, each receiving a clone of the value
-    /// (a multi-consumer `hpx::shared_future`). This is how the LULESH task
-    /// driver pre-creates all tasks that depend on one `when_all` barrier.
+    /// (a multi-consumer `hpx::shared_future`): every task that depends on
+    /// one `when_all` barrier gets its own input.
     pub fn fork(self, n: usize) -> Vec<Future<T>>
     where
         T: Clone,

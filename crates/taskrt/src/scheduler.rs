@@ -4,6 +4,7 @@
 //! (without priorities, which the paper does not use).
 
 use crate::future::{promise_pair, Future};
+use crate::graph::NodeRef;
 use crate::phases::{self, NodeStealStat, PhaseCounters, PhaseStat};
 use crate::topology::{self, Topology};
 use crossbeam::deque::{Injector, Stealer, Worker};
@@ -11,7 +12,7 @@ use obs::{Span, SpanKind, Tracer};
 use parking_lot::{Condvar, Mutex};
 use parutil::{BusyIdleClock, CachePadded};
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,7 +35,13 @@ const UTILIZATION_EPS: f64 = 0.05;
 /// while still letting a starved node drain a loaded one.
 const REMOTE_STEAL_AFTER: u32 = 4;
 
-pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work in the deques: a one-shot closure (the futures API) or
+/// a node of a compiled [`crate::TaskGraph`], which queues without
+/// allocating.
+pub(crate) enum Task {
+    Boxed(Box<dyn FnOnce() + Send + 'static>),
+    Node(NodeRef),
+}
 
 /// Tracing attachment: where this runtime's workers record spans.
 /// `lane_base + worker_index` is a worker's lane; `lane_base + threads`
@@ -352,12 +359,12 @@ impl Runtime {
         F: FnOnce() -> T + Send + 'static,
     {
         let (promise, fut) = promise_pair();
-        self.submit(Box::new(move || {
+        self.submit(Task::Boxed(Box::new(move || {
             // Only the user closure is timed; promise/continuation
             // bookkeeping stays outside the busy clock and the span.
             let value = exec_timed(label, SpanKind::Task, f);
             promise.set_value(value);
-        }));
+        })));
         fut
     }
 
@@ -388,55 +395,6 @@ impl Runtime {
         tc.lane_base + idx.unwrap_or(self.threads())
     }
 
-    /// [`crate::when_all_unit`] with a barrier span: when tracing is on,
-    /// records a [`SpanKind::Barrier`] span covering first-dependency-done
-    /// → last-dependency-done (the barrier's skew) on the lane of the
-    /// worker that completed it. Counts as one synchronization point.
-    pub fn when_all_unit_labeled<T: Send + 'static>(
-        &self,
-        label: &'static str,
-        futures: Vec<Future<T>>,
-    ) -> Future<()> {
-        let Some(tc) = self.inner.trace.as_ref() else {
-            return crate::future::when_all_unit(futures);
-        };
-        let tracer = Arc::clone(&tc.tracer);
-        let n = futures.len();
-        if n == 0 {
-            let now = tracer.now_ns();
-            tracer.record_interval(self.current_lane(), SpanKind::Barrier, label, now, now);
-            return Future::ready(());
-        }
-        let (promise, out) = promise_pair();
-        let remaining = Arc::new(AtomicUsize::new(n));
-        let first_done = Arc::new(AtomicU64::new(u64::MAX));
-        let promise = Arc::new(Mutex::new(Some(promise)));
-        let rt = self.clone();
-        let rt = Arc::new(rt);
-        for f in futures {
-            let remaining = Arc::clone(&remaining);
-            let first_done = Arc::clone(&first_done);
-            let promise = Arc::clone(&promise);
-            let tracer = Arc::clone(&tracer);
-            let rt = Arc::clone(&rt);
-            f.attach_inner(Box::new(move |_value: T| {
-                let now = tracer.now_ns();
-                let _ =
-                    first_done.compare_exchange(u64::MAX, now, Ordering::AcqRel, Ordering::Acquire);
-                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let start = first_done.load(Ordering::Acquire);
-                    tracer.record_interval(rt.current_lane(), SpanKind::Barrier, label, start, now);
-                    let p = promise
-                        .lock()
-                        .take()
-                        .expect("when_all_unit_labeled fulfilled twice");
-                    p.set_value(());
-                }
-            }));
-        }
-        out
-    }
-
     /// Enqueue a raw task: to the local deque when called from one of this
     /// runtime's workers (HPX "local" policy), to the injector otherwise.
     pub(crate) fn submit(&self, task: Task) {
@@ -453,26 +411,7 @@ impl Runtime {
         if let Some(task) = leftover {
             self.inner.injector.push(task);
         }
-        self.wake_one();
-    }
-
-    fn wake_one(&self) {
-        // Dekker-style handshake with the park path in `worker_loop`. The
-        // submitter's order is push-queue → read-sleepers; the parker's is
-        // increment-sleepers → scan-queues. With weaker orderings both
-        // sides can read the other's *old* value (store-buffer reordering)
-        // — submitter sees sleepers == 0, parker sees empty queues — and
-        // the task sits until a timeout. The seq-cst fences on both sides
-        // make that outcome impossible: at least one side observes the
-        // other's store, so either we notify or the parker's re-scan finds
-        // the task.
-        fence(Ordering::SeqCst);
-        if self.inner.sleepers.load(Ordering::Relaxed) > 0 {
-            // Lock before notifying so the wakeup cannot slip into the
-            // window between the parker's queue scan and its wait.
-            let _g = self.inner.sleep_lock.lock();
-            self.inner.sleep_cv.notify_one();
-        }
+        self.inner.wake(1);
     }
 
     /// Counter snapshot since the last [`reset_counters`](Self::reset_counters).
@@ -564,6 +503,66 @@ impl Runtime {
     }
 }
 
+impl Inner {
+    /// Wake up to `n` parked workers after queueing `n` tasks.
+    fn wake(&self, n: usize) {
+        // Dekker-style handshake with the park path in `worker_loop`. The
+        // submitter's order is push-queue → read-sleepers; the parker's is
+        // increment-sleepers → scan-queues. With weaker orderings both
+        // sides can read the other's *old* value (store-buffer reordering)
+        // — submitter sees sleepers == 0, parker sees empty queues — and
+        // the task sits until a timeout. The seq-cst fences on both sides
+        // make that outcome impossible: at least one side observes the
+        // other's store, so either we notify or the parker's re-scan finds
+        // the task.
+        fence(Ordering::SeqCst);
+        let sleepers = self.sleepers.load(Ordering::Relaxed);
+        if sleepers > 0 {
+            // Lock before notifying so the wakeup cannot slip into the
+            // window between the parker's queue scan and its wait.
+            let _g = self.sleep_lock.lock();
+            for _ in 0..n.min(sleepers) {
+                self.sleep_cv.notify_one();
+            }
+        }
+    }
+}
+
+/// The worker a graph node runs on, as the node sees it: its local deque,
+/// the pool's wake-up path and the tracer.
+pub(crate) struct Local<'a> {
+    inner: &'a Inner,
+    ctx: &'a WorkerCtx,
+}
+
+impl Local<'_> {
+    /// Queue a ready task on this worker's deque (call [`wake`](Self::wake)
+    /// once after a batch).
+    pub(crate) fn push(&self, task: Task) {
+        self.ctx.queue.push(task);
+    }
+
+    /// Wake up to `n` parked workers.
+    pub(crate) fn wake(&self, n: usize) {
+        self.inner.wake(n);
+    }
+
+    /// The tracer's clock, or `None` when tracing is off.
+    pub(crate) fn now(&self) -> Option<u64> {
+        self.inner.trace.as_ref().map(|tc| tc.tracer.now_ns())
+    }
+
+    /// Record a barrier span on this worker's lane (no-op untraced). Counts
+    /// as one synchronization point, never as a task.
+    pub(crate) fn record_barrier(&self, label: &'static str, start: u64, end: u64) {
+        if let Some(tc) = self.inner.trace.as_ref() {
+            let lane = tc.lane_base + self.ctx.index;
+            tc.tracer
+                .record_interval(lane, SpanKind::Barrier, label, start, end);
+        }
+    }
+}
+
 impl RuntimeStats {
     /// Raw productive-time ratio Σ busy / (threads × wall) for this
     /// snapshot. Unclamped on purpose — see
@@ -626,7 +625,7 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
         });
 
         match task {
-            Some(task) => {
+            Some(Task::Boxed(task)) => {
                 idle_spins = 0;
                 // Busy time is NOT accounted here: the task body times its
                 // user closure via `exec_timed`, so promise/continuation
@@ -637,6 +636,16 @@ fn worker_loop(inner: Arc<Inner>, index: usize, queue: Worker<Task>, pin_cpu: Op
                 // promise breaks its future (downstream sees a clear
                 // "broken promise" instead of a hang).
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task));
+            }
+            Some(Task::Node(node)) => {
+                idle_spins = 0;
+                // Graph nodes catch their own bodies' panics (the run must
+                // still complete), so nothing can unwind out of `fire`.
+                CURRENT.with(|c| {
+                    let ctx = c.borrow();
+                    let ctx = ctx.as_ref().expect("worker context set");
+                    node.fire(&Local { inner: &inner, ctx });
+                });
             }
             None => {
                 if inner.shutdown.load(Ordering::Acquire) {

@@ -1,11 +1,13 @@
 //! Property tests executing randomly generated DAGs on the runtime: every
 //! task runs exactly once, strictly after all of its dependencies, for any
-//! graph shape and worker count.
+//! graph shape and worker count — built from futures, and compiled once
+//! into a `TaskGraph` and replayed.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use taskrt::{when_all_unit, Future, Runtime};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
+use taskrt::{when_all_unit, Future, GraphBuilder, NodeId, Runtime, TaskGraph};
 
 /// Execute a DAG given as `deps[i] ⊂ 0..i`; returns the completion stamp of
 /// every task (a global monotonically increasing counter).
@@ -52,6 +54,94 @@ fn run_dag(rt: &Runtime, deps: &[Vec<usize>]) -> Vec<usize> {
     stamps.iter().map(|s| s.load(Ordering::SeqCst)).collect()
 }
 
+/// The same DAG compiled into a [`TaskGraph`], with the completion clock
+/// and stamps its bodies write.
+struct CompiledDag {
+    /// `None` only while a replay is in flight.
+    graph: Option<TaskGraph>,
+    clock: Arc<AtomicUsize>,
+    stamps: Arc<Vec<AtomicUsize>>,
+}
+
+impl CompiledDag {
+    fn build(deps: &[Vec<usize>]) -> Self {
+        let n = deps.len();
+        let clock = Arc::new(AtomicUsize::new(0));
+        let stamps: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..n).map(|_| AtomicUsize::new(usize::MAX)).collect());
+        let mut g = GraphBuilder::new();
+        let mut ids: Vec<NodeId> = Vec::with_capacity(n);
+        for (i, ds) in deps.iter().enumerate() {
+            let (clock, stamps) = (Arc::clone(&clock), Arc::clone(&stamps));
+            let mut dep_ids: Vec<NodeId> = ds.iter().map(|&d| ids[d]).collect();
+            // Fan-in goes through a join, so replays re-arm joins too.
+            if dep_ids.len() > 1 {
+                dep_ids = vec![g.join("dag-join", &dep_ids)];
+            }
+            ids.push(g.task("dag", obs::SpanKind::Task, &dep_ids, move || {
+                let t = clock.fetch_add(1, Ordering::SeqCst);
+                let prev = stamps[i].swap(t, Ordering::SeqCst);
+                assert_eq!(prev, usize::MAX, "task {i} ran twice in one run");
+            }));
+        }
+        Self {
+            graph: Some(g.build()),
+            clock,
+            stamps,
+        }
+    }
+
+    /// One replay: the completion stamp of every task in this run. A
+    /// replay whose dependency counters were not re-armed never
+    /// completes, so it runs on a helper thread and fails after a
+    /// deadline instead of hanging the suite.
+    fn run(&mut self, rt: &Runtime) -> Vec<usize> {
+        self.clock.store(0, Ordering::SeqCst);
+        for s in self.stamps.iter() {
+            s.store(usize::MAX, Ordering::SeqCst);
+        }
+        let (mut graph, rt) = (self.graph.take().expect("graph idle"), rt.clone());
+        let (tx, rx) = mpsc::channel();
+        let replay = std::thread::spawn(move || {
+            graph.run(&rt);
+            let _ = tx.send(graph);
+        });
+        // On a deadline miss the helper stays blocked and is leaked.
+        let graph = rx.recv_timeout(Duration::from_secs(20)).expect(
+            "replay panicked (see above) or never completed (a dependency count not re-armed)",
+        );
+        replay
+            .join()
+            .expect("replay thread exits after handing back the graph");
+        self.graph = Some(graph);
+        self.stamps
+            .iter()
+            .map(|s| s.load(Ordering::SeqCst))
+            .collect()
+    }
+}
+
+/// Every task ran exactly once (stamps are a permutation of `0..n`) and
+/// after each of its dependencies.
+fn check_order(deps: &[Vec<usize>], stamps: &[usize]) -> Result<(), TestCaseError> {
+    let mut sorted = stamps.to_vec();
+    sorted.sort_unstable();
+    prop_assert_eq!(sorted, (0..deps.len()).collect::<Vec<_>>());
+    for (i, ds) in deps.iter().enumerate() {
+        for &d in ds {
+            prop_assert!(
+                stamps[d] < stamps[i],
+                "task {} (stamp {}) ran before its dependency {} (stamp {})",
+                i,
+                stamps[i],
+                d,
+                stamps[d]
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -71,20 +161,12 @@ proptest! {
             }
         }
         let rt = Runtime::new(threads);
-        let stamps = run_dag(&rt, &deps);
-        // Everyone ran exactly once (stamps are a permutation of 0..n)...
-        let mut sorted = stamps.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
-        // ... and after their dependencies.
-        for (i, ds) in deps.iter().enumerate() {
-            for &d in ds {
-                prop_assert!(
-                    stamps[d] < stamps[i],
-                    "task {} (stamp {}) ran before its dependency {} (stamp {})",
-                    i, stamps[i], d, stamps[d]
-                );
-            }
+        check_order(&deps, &run_dag(&rt, &deps))?;
+        // Compiled once, replayed three times on the same runtime: every
+        // replay re-arms the dependency counters it consumed.
+        let mut compiled = CompiledDag::build(&deps);
+        for _ in 0..3 {
+            check_order(&deps, &compiled.run(&rt))?;
         }
     }
 
@@ -100,5 +182,11 @@ proptest! {
         let stamps = run_dag(&rt, &deps);
         prop_assert_eq!(stamps[0], 0, "root first");
         prop_assert_eq!(stamps[width + 1], width + 1, "sink last");
+        let mut compiled = CompiledDag::build(&deps);
+        for _ in 0..3 {
+            let stamps = compiled.run(&rt);
+            prop_assert_eq!(stamps[0], 0, "root first");
+            prop_assert_eq!(stamps[width + 1], width + 1, "sink last");
+        }
     }
 }

@@ -19,6 +19,10 @@ echo "== perfbench compiles against the library crates =="
 # must fail here, not at the next benchmark run.
 cargo check --offline --manifest-path perfbench/Cargo.toml
 
+echo "== perfbench harness self-tests =="
+# The benchmark's own failure counting and result-stamp refusal.
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
 echo "== tier-1: cargo build && cargo test =="
 cargo build -q --workspace
 cargo test -q --workspace 2>&1 | tail -3
